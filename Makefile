@@ -3,7 +3,7 @@ GO ?= go
 # Core packages whose hot paths the race/vet gates guard.
 CORE := ./internal/deque/... ./internal/runtime/... ./internal/sched/...
 
-.PHONY: all build test race race-core vet lhws-vet lint chaos bench-runtime bench-io bench-io-smoke bench-goodput bench-goodput-smoke bench-steal bench-steal-smoke bench-smoke ci figures clean
+.PHONY: all build test race race-core vet lhws-vet lint chaos bench-runtime bench-io bench-io-smoke bench-goodput bench-goodput-smoke bench-steal bench-steal-smoke bench-smoke bench-repo-smoke ci figures clean
 
 all: build
 
@@ -52,8 +52,7 @@ chaos:
 
 # bench-runtime regenerates the hot-path microbenchmark record: the Go
 # benchmarks (ns/op + allocs/op) and the BENCH_runtime.json sweep with
-# its allocation and baseline-regression checks (see EXPERIMENTS.md
-# "Runtime overheads").
+# its allocation checks (see EXPERIMENTS.md "Runtime overheads").
 bench-runtime:
 	$(GO) test -run '^$$' -bench 'SpawnAwaitLadder|WideFanout|StealHeavySkew|ResumeStorm' -benchmem -benchtime 1s ./internal/runtime/
 	$(GO) run ./cmd/lhws-bench -exp runtime
@@ -112,8 +111,15 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '.' -benchtime 1x ./internal/runtime/
 	$(GO) test -run 'TestAllocs' -count=1 ./internal/runtime/
 
+# bench-repo-smoke runs the repo benchmark's own tests (benchmark/ is a
+# nested module, invisible to the root `go test ./...`): metric arithmetic,
+# BENCHMARK.json matching the code's declarations, and a 300 ms pass of all
+# four workloads in both phases with their oracles on.
+bench-repo-smoke:
+	cd benchmark && $(GO) test ./...
+
 # ci mirrors .github/workflows/ci.yml.
-ci: build lint vet test race chaos bench-smoke bench-io-smoke bench-goodput-smoke bench-steal-smoke
+ci: build lint vet test race chaos bench-smoke bench-io-smoke bench-goodput-smoke bench-steal-smoke bench-repo-smoke
 
 figures:
 	$(GO) run ./cmd/lhws-bench -exp fig11 -svg figures

@@ -198,10 +198,10 @@ func (a *Controller) Admit(c *runtime.Ctx) (*Ticket, error) {
 		a.mu.Unlock()
 		return nil, ErrDraining
 	}
-	if a.cfg.MaxInflight > 0 && a.inflight >= a.cfg.MaxInflight {
+	if inflight := a.inflight; a.cfg.MaxInflight > 0 && inflight >= a.cfg.MaxInflight {
 		a.mu.Unlock()
 		return nil, fmt.Errorf("%w: %d requests in flight (cap %d)",
-			ErrOverload, a.inflight, a.cfg.MaxInflight)
+			ErrOverload, inflight, a.cfg.MaxInflight)
 	}
 	if a.cfg.RejectAt > 0 && ld.Saturation >= a.cfg.RejectAt {
 		a.mu.Unlock()

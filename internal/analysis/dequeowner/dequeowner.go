@@ -7,7 +7,8 @@
 // end. The Go type system cannot express that, so this analyzer makes
 // the owner role an explicitly-declared, machine-checked property:
 //
-//  1. Every call to an owner-only method (PushBottom, PopBottom) must
+//  1. Every call to an owner-only method (PushBottom, PopBottom, and the
+//     owner's PeekBottom, which reads the bottom end unsynchronized) must
 //     occur inside a function whose doc comment carries an
 //     //lhws:owner directive stating why the caller holds the owner
 //     role. Package lhws/internal/deque itself is exempt.
@@ -56,6 +57,7 @@ const (
 var ownerMethods = map[string]bool{
 	"PushBottom": true,
 	"PopBottom":  true,
+	"PeekBottom": true,
 }
 
 // guardedFields maps package path → protocol-critical fields that only

@@ -141,6 +141,19 @@ func (d *ChaseLev) PopBottom() (Item, bool) {
 	}
 }
 
+// PeekBottom returns the item at the owner end without removing it. Only
+// the owner may call it. It writes nothing, so unlike a PopBottom/PushBottom
+// pair it does not take the deque's cache line from polling thieves. The
+// item may be stolen at any moment after the call: the caller may compare
+// its identity but must not dereference it without popping it first.
+func (d *ChaseLev) PeekBottom() (Item, bool) {
+	b := d.bottom.Load()
+	if b <= d.top.Load() {
+		return nil, false
+	}
+	return d.array.Load().get(b - 1), true
+}
+
 // PopTopBatch removes up to max items from the thief end into dst with a
 // single committing CAS on top, amortizing synchronization over the whole
 // transfer. At most half the observed items are taken (floor(n/2), but a

@@ -52,6 +52,39 @@ func TestLIFOAtBottom(t *testing.T) {
 	}
 }
 
+// TestPeekBottom: the owner's peek sees exactly what its next PopBottom
+// would return, removes nothing, and reports empty once thieves have taken
+// everything.
+func TestPeekBottom(t *testing.T) {
+	d := NewChaseLev()
+	if it, ok := d.PeekBottom(); ok {
+		t.Fatalf("PeekBottom on an empty deque = %v,true", it)
+	}
+	for i := 0; i < 3; i++ {
+		d.PushBottom(i)
+		if it, ok := d.PeekBottom(); !ok || it.(int) != i {
+			t.Fatalf("PeekBottom after pushing %d = %v,%v", i, it, ok)
+		}
+	}
+	if n := d.Len(); n != 3 {
+		t.Fatalf("Len = %d after three peeks, want 3 (peek must not remove)", n)
+	}
+	if it, ok := d.PopBottom(); !ok || it.(int) != 2 {
+		t.Fatalf("PopBottom = %v,%v; want 2,true", it, ok)
+	}
+	if it, ok := d.PeekBottom(); !ok || it.(int) != 1 {
+		t.Fatalf("PeekBottom after a pop = %v,%v; want 1,true", it, ok)
+	}
+	for i := 0; i < 2; i++ {
+		if _, ok := d.PopTop(); !ok {
+			t.Fatalf("PopTop %d failed", i)
+		}
+	}
+	if it, ok := d.PeekBottom(); ok {
+		t.Fatalf("PeekBottom after thieves emptied the deque = %v,true", it)
+	}
+}
+
 func TestFIFOAtTop(t *testing.T) {
 	for name, mk := range implementations() {
 		t.Run(name, func(t *testing.T) {

@@ -21,24 +21,19 @@ import (
 // (benchstat's convention for noisy shared machines); allocations come
 // from runtime.MemStats deltas around the measured loop.
 //
-// The baseline columns are the pre-overhaul numbers recorded in
-// EXPERIMENTS.md ("Runtime overheads", 2026-08, Intel Xeon @ 2.10GHz,
-// GOMAXPROCS=4): per-spawn goroutine launch, per-steal deque allocation,
-// and per-task resume injection, before pooling and pfor-tree bulk
-// injection. Improvement percentages are only meaningful on comparable
-// hardware; the allocation gates are machine-independent.
+// The record carries no "before" column: timings here are a local
+// profile, and the only gates are the machine-independent allocation
+// ones. Performance claims are made against the parent commit with the
+// repo benchmark (BENCHMARK.json, benchmark/), same run and paired.
 
 // RuntimeBenchRow is one workload's measurement.
 type RuntimeBenchRow struct {
-	Name           string  `json:"name"`
-	Workers        int     `json:"workers"`
-	Ops            int     `json:"ops"`
-	NsPerOp        float64 `json:"ns_per_op"`
-	BytesPerOp     float64 `json:"bytes_per_op"`
-	AllocsPerOp    float64 `json:"allocs_per_op"`
-	BaselineNs     float64 `json:"baseline_ns_per_op"`
-	BaselineAllocs float64 `json:"baseline_allocs_per_op"`
-	ImprovementPct float64 `json:"improvement_pct"`
+	Name        string  `json:"name"`
+	Workers     int     `json:"workers"`
+	Ops         int     `json:"ops"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	BytesPerOp  float64 `json:"bytes_per_op"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
 // RuntimeBenchResult is the full sweep, serialized as BENCH_runtime.json.
@@ -46,17 +41,6 @@ type RuntimeBenchResult struct {
 	GoMaxProcs int               `json:"gomaxprocs"`
 	Seed       uint64            `json:"seed"`
 	Rows       []RuntimeBenchRow `json:"rows"`
-}
-
-// runtimeBaseline is the pre-overhaul record (see the package comment).
-var runtimeBaseline = map[string][2]float64{ // name/workers → {ns/op, allocs/op}
-	"spawn-await-ladder/1": {2622, 13},
-	"spawn-await-ladder/4": {3021, 13},
-	"wide-fanout/1":        {1461, 8},
-	"wide-fanout/4":        {1629, 8},
-	"steal-skew/4":         {2148, 8},
-	"resume-storm/1":       {6941, 24},
-	"resume-storm/4":       {678619, 254},
 }
 
 const runtimeBenchRepeats = 5
@@ -188,36 +172,25 @@ func measureRuntimeWorkload(seed uint64, name string, workers, ops int, body fun
 			row.AllocsPerOp = allocsOp
 		}
 	}
-	if base, ok := runtimeBaseline[fmt.Sprintf("%s/%d", name, workers)]; ok {
-		row.BaselineNs = base[0]
-		row.BaselineAllocs = base[1]
-		row.ImprovementPct = 100 * (1 - row.NsPerOp/base[0])
-	}
 	return row, nil
 }
 
-// Table renders the sweep with the pre-overhaul baseline alongside.
+// Table renders the sweep.
 func (r *RuntimeBenchResult) Table() *stats.Table {
-	t := stats.NewTable("workload", "P", "ns/op", "allocs/op", "B/op", "baseline ns/op", "baseline allocs", "Δns")
+	t := stats.NewTable("workload", "P", "ns/op", "allocs/op", "B/op")
 	for _, row := range r.Rows {
 		t.AddRowf(row.Name, row.Workers,
 			fmt.Sprintf("%.0f", row.NsPerOp),
 			fmt.Sprintf("%.2f", row.AllocsPerOp),
-			fmt.Sprintf("%.0f", row.BytesPerOp),
-			fmt.Sprintf("%.0f", row.BaselineNs),
-			fmt.Sprintf("%.0f", row.BaselineAllocs),
-			fmt.Sprintf("%+.1f%%", -row.ImprovementPct))
+			fmt.Sprintf("%.0f", row.BytesPerOp))
 	}
 	return t
 }
 
-// Check enforces the machine-independent contract — pooled paths stay
-// allocation-free (the storm rounds exactly, spawn paths at their one
+// Check enforces the machine-independent contract: pooled paths stay
+// allocation-free — the storm rounds exactly, spawn paths at their one
 // documented Future per public Spawn plus slack for stray runtime
-// allocations) — and a conservative floor under the recorded ≥25%
-// improvement on the ladder and storm workloads (measured ≈29–99% on the
-// reference machine; the floor is 20% so scheduler noise cannot flake a
-// genuinely healthy run).
+// allocations.
 func (r *RuntimeBenchResult) Check() error {
 	for _, row := range r.Rows {
 		switch row.Name {
@@ -230,12 +203,6 @@ func (r *RuntimeBenchResult) Check() error {
 			if row.AllocsPerOp > 2 {
 				return fmt.Errorf("%s/%d: %.2f allocs/op, want <= 2 (one public Future plus slack)",
 					row.Name, row.Workers, row.AllocsPerOp)
-			}
-		}
-		if row.Name == "spawn-await-ladder" || row.Name == "resume-storm" {
-			if row.ImprovementPct < 20 {
-				return fmt.Errorf("%s/%d: only %.1f%% faster than the recorded baseline (%.0f vs %.0f ns/op), want >= 20%%",
-					row.Name, row.Workers, row.ImprovementPct, row.NsPerOp, row.BaselineNs)
 			}
 		}
 	}

@@ -1,20 +1,23 @@
 package runtime
 
 import (
+	goruntime "runtime"
 	"testing"
 )
 
 // Allocation-regression gates for the pooled hot paths. These are the
 // contract the pool layer exists to uphold: once the free lists are warm,
-// a scheduling quantum costs zero heap allocations — spawn, suspension,
-// resume injection, pfor split, and shell recycling all run on recycled
-// objects. testing.AllocsPerRun pins GOMAXPROCS to 1 for the measured
-// runs, which the cooperative handoff protocol tolerates (every wait
-// below is a channel handoff, not a spin).
+// a scheduling quantum costs zero heap allocations — spawn, inline join,
+// suspension, resume injection, pfor split, and shell recycling all run on
+// recycled objects. testing.AllocsPerRun pins GOMAXPROCS to 1 for the
+// measured runs, which the cooperative handoff protocol tolerates (every
+// wait below is a channel handoff or a spin that yields the processor).
 
 // TestAllocsSpawnAwaitSteadyState gates the internal spawn/await quantum
-// (spawnPooled + awaitConsume, the path For and MapReduce ride) at zero
-// steady-state allocations per spawn-suspend-run-resume cycle.
+// (spawnPooled + awaitConsume, the path For rides) at zero steady-state
+// allocations. On one worker the child is never stolen, so this is the
+// spawn → pop → call → recycle cycle of an inline join; the suspension
+// path has its own gate below.
 func TestAllocsSpawnAwaitSteadyState(t *testing.T) {
 	_, err := Run(benchConfig(1), func(c *Ctx) {
 		for i := 0; i < 64; i++ { // warm the shell, future, waiter, and node pools
@@ -30,6 +33,60 @@ func TestAllocsSpawnAwaitSteadyState(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+}
+
+// TestAllocsStolenChildAwaitSteadyState is the same quantum with the child
+// forced onto another worker, so the join is a real suspension: steal,
+// fresh deque, waiter, epoch claim, resumed set, re-injection and the grant
+// that resumes the parent — all on recycled objects. The child holds its
+// completion back until the parent has registered as the future's waiter,
+// which makes every measured round take the suspension path.
+func TestAllocsStolenChildAwaitSteadyState(t *testing.T) {
+	var fut *Future
+	var host *task
+	stolenChild := func(cc *Ctx) {
+		if cc.t == host {
+			t.Error("child ran on the parent's goroutine; the gate needs it stolen")
+			return
+		}
+		for {
+			fut.mu.Lock()
+			parked := fut.w0 != nil
+			fut.mu.Unlock()
+			if parked {
+				return
+			}
+			goruntime.Gosched()
+		}
+	}
+	st, err := Run(benchConfig(2), func(c *Ctx) {
+		host = c.t
+		round := func() {
+			fut = c.t.w.acquireFuture() // published before the spawn makes the child stealable
+			c.spawn(stolenChild, fut)
+			for c.t.w.active.q.Len() > 0 { // until the other worker steals it
+				goruntime.Gosched()
+			}
+			if werr := fut.awaitConsume(c); werr != nil {
+				t.Errorf("await: %v", werr)
+			}
+		}
+		// Shells and nodes are acquired here and released on the thief, so
+		// steady state begins only once the thief's local caches are full
+		// and its releases overflow into the run's pools.
+		for i := 0; i < 2*nodeCacheCap; i++ {
+			round()
+		}
+		if avg := testing.AllocsPerRun(200, round); avg != 0 && !raceDetectorEnabled {
+			t.Errorf("pooled spawn/await of a stolen child allocates %.2f objects/op at steady state, want 0", avg)
+		}
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if st.InlineJoins != 0 || st.Suspensions < 200 {
+		t.Errorf("InlineJoins=%d Suspensions=%d: the rounds did not take the suspension path", st.InlineJoins, st.Suspensions)
 	}
 }
 

@@ -36,9 +36,9 @@ var benchSpin = func(*Ctx) {
 var spinSink uint64
 
 // BenchmarkSpawnAwaitLadder is the serial spawn/await ladder: one rung
-// spawns a leaf child and immediately awaits it, so every rung pays one
-// spawn, one parent suspension, one task slice, one resume injection, and
-// one resumption. This is the paper's per-quantum cost in isolation.
+// spawns a leaf child and immediately awaits it. The child is still at the
+// bottom of the spawner's deque, so every rung pays one spawn, one pop and
+// one function call — the cost of a light edge, a join on unstolen work.
 func BenchmarkSpawnAwaitLadder(b *testing.B) {
 	for _, p := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", p), func(b *testing.B) {

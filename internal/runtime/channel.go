@@ -224,7 +224,7 @@ func (ch *Chan[T]) Send(c *Ctx, v T) {
 			home.unsuspend()
 			continue
 		}
-		wt := t.beginWait("chan-send", KindChan, home, ch)
+		wt := c.beginWait("chan-send", KindChan, home, ch)
 		wt.refs.Add(1) // the sendq entry's event reference
 		ch.sendq.push(wt)
 		ch.mu.Unlock()
@@ -281,7 +281,7 @@ func (ch *Chan[T]) RecvOK(c *Ctx) (T, bool) {
 			home.unsuspend()
 			return zero, false
 		}
-		wt := t.beginWait("chan-recv", KindChan, home, ch)
+		wt := c.beginWait("chan-recv", KindChan, home, ch)
 		wt.refs.Add(1) // the recvq entry's event reference
 		ch.recvq.push(wt)
 		ch.mu.Unlock()
@@ -352,7 +352,6 @@ func (ch *Chan[T]) sendBlocking(v T) {
 	ch.mu.Unlock()
 }
 
-//lhws:owner the receiving task holds its worker's owner role and lends it to tasks it runs inline
 func (ch *Chan[T]) recvOKBlocking(c *Ctx) (T, bool) {
 	var zero T
 	// Register a cancellation nudge: canceling the scope broadcasts the
@@ -381,8 +380,7 @@ func (ch *Chan[T]) recvOKBlocking(c *Ctx) (T, bool) {
 		c.checkpoint()
 		// Help: run a task from the worker's own deque (the producer may
 		// be queued right there); block only when nothing local remains.
-		if it, ok := c.t.w.active.q.PopBottom(); ok {
-			c.t.w.runTask(c.t.w.resolveItem(it))
+		if c.helpOne() {
 			continue
 		}
 		ch.mu.Lock()

@@ -158,9 +158,10 @@ func TestStatsConsistency(t *testing.T) {
 	if st.TasksSpawned != 31 { // root + 30
 		t.Errorf("TasksSpawned = %d, want 31", st.TasksSpawned)
 	}
-	// Every suspension implies an extra run slice: runs ≥ spawned.
-	if st.TasksRun < st.TasksSpawned {
-		t.Errorf("TasksRun %d < TasksSpawned %d", st.TasksRun, st.TasksSpawned)
+	// Every task is granted a slot or run as a call by its joiner, and
+	// every suspension implies an extra grant: grants + calls ≥ spawned.
+	if st.TasksRun+st.InlineJoins < st.TasksSpawned {
+		t.Errorf("TasksRun %d + InlineJoins %d < TasksSpawned %d", st.TasksRun, st.InlineJoins, st.TasksSpawned)
 	}
 	if st.Steals > st.StealAttempts {
 		t.Errorf("Steals %d > StealAttempts %d", st.Steals, st.StealAttempts)

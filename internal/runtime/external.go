@@ -149,7 +149,7 @@ func (c *Ctx) AwaitExternalOp(site string, kind WaitKind, op ExternalOp) (int, e
 	t := c.t
 	home := t.w.active
 	home.suspend()
-	wt := t.beginWait(site, kind, home, nil)
+	wt := c.beginWait(site, kind, home, nil)
 	wt.refs.Add(1) // the completer's event reference, consumed by Complete
 	wt.ext = op
 	op.Arm(ExternalHandle{wt: wt})

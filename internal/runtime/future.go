@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"lhws/internal/faultpoint"
 )
@@ -15,7 +16,10 @@ import (
 type Future struct {
 	mu   sync.Mutex
 	cond sync.Cond // lazily targets mu; blocking-mode waits only
-	done bool
+	// done is stored (under mu, after err) exactly once per life; a reader
+	// that loads true may read err without the lock. Joins on a child that
+	// has already finished — most joins of a fan-out — take that path.
+	done atomic.Bool
 	err  error // the child's outcome: nil, cancellation cause, or wrapped panic
 	// w0 is the first suspended waiter, inlined because almost every
 	// future has exactly one awaiter — the common case then registers
@@ -23,6 +27,9 @@ type Future struct {
 	// any further waiters.
 	w0       *waiter
 	overflow []*waiter
+	// nd is the deque node the child was pushed in, an identity only: a
+	// join compares it with the bottom item before it pops anything.
+	nd *pforNode
 }
 
 //lhws:nonblocking
@@ -42,12 +49,12 @@ func newFuture() *Future {
 //lhws:nosuspend
 func (f *Future) complete(err error) {
 	f.mu.Lock()
-	if f.done {
+	if f.done.Load() {
 		f.mu.Unlock()
 		return
 	}
-	f.done = true
 	f.err = err
+	f.done.Store(true)
 	f.cond.Broadcast()
 	if wt := f.w0; wt != nil {
 		f.w0 = nil
@@ -90,11 +97,7 @@ func (f *Future) cancelWait(wt *waiter, err error) {
 }
 
 // Done reports whether the future has completed. It never blocks.
-func (f *Future) Done() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.done
-}
+func (f *Future) Done() bool { return f.done.Load() }
 
 // Err returns the child's outcome once the future has completed: nil on
 // success, ErrCanceled/ErrDeadline (possibly via a derived scope) if the
@@ -102,23 +105,29 @@ func (f *Future) Done() bool {
 // it panicked. Before completion Err returns nil; call it after Await,
 // or use AwaitErr.
 func (f *Future) Err() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.err
+	if f.done.Load() {
+		return f.err
+	}
+	return nil
 }
 
 // Await blocks the calling task until the spawned task completes,
 // discarding the child's error (retrieve it with Err, or use AwaitErr).
 //
-// In LatencyHiding mode, an Await on an incomplete future suspends the
-// task exactly like a latency operation: the task is paired with the
-// worker's active deque and resumed by the completing task's callback.
+// What the join costs depends on where the child is (DESIGN §8). If the
+// child is still fresh at the bottom of the caller's own deque — nobody
+// stole it, and the worker would pop and run exactly it next — the join is
+// a light edge: the caller pops the child and runs it as a function call.
+// Otherwise, in LatencyHiding mode, an Await on an incomplete future
+// suspends the task exactly like a latency operation: the task is paired
+// with the worker's active deque and resumed by the completing task's
+// callback.
 //
 // In Blocking mode, the worker first helps — repeatedly popping its own
-// deque and running tasks inline (the conventional join protocol of
-// blocking work-stealing runtimes; without it a single worker would
-// deadlock on its own children) — and blocks on a condition variable once
-// no local work remains.
+// deque and running tasks as function calls (the conventional join
+// protocol of blocking work-stealing runtimes; without it a single worker
+// would deadlock on its own children) — and blocks on a condition variable
+// once no local work remains.
 //
 // If the calling task's scope is canceled, Await unwinds it — before
 // suspending, or early out of the wait.
@@ -128,24 +137,28 @@ func (f *Future) Await(c *Ctx) { _ = f.AwaitErr(c) }
 // the error the child failed with (cancellation cause or wrapped panic).
 func (f *Future) AwaitErr(c *Ctx) error {
 	c.checkpoint()
+	if f.done.Load() {
+		return f.err
+	}
 	if c.t.rt.cfg.Mode == Blocking {
 		return f.awaitBlocking(c)
 	}
+	if child := c.popUnstolen(f); child != nil {
+		return c.runInline(child)
+	}
 	c.injectFault(faultpoint.Suspend)
-	t := c.t
 	home := c.t.w.active
 	// Order matters: make the suspension visible on the deque before
 	// registering as a waiter, so a completion racing with this Await sees
 	// a consistent counter when it fires the resume.
 	home.suspend()
 	f.mu.Lock()
-	if f.done {
-		err := f.err
+	if f.done.Load() {
 		f.mu.Unlock()
 		home.unsuspend()
-		return err
+		return f.err
 	}
-	wt := t.beginWait("await", KindFuture, home, f)
+	wt := c.beginWait("await", KindFuture, home, f)
 	wt.refs.Add(1) // the registration's event reference
 	if f.w0 == nil {
 		f.w0 = wt
@@ -156,6 +169,62 @@ func (f *Future) AwaitErr(c *Ctx) error {
 	c.armScope(wt)
 	c.finishWait(wt)
 	return f.Err()
+}
+
+// popUnstolen pops the bottom item of the caller's active deque if — and
+// only if — it is f's child and that child is fresh: never granted, never
+// run, so not a started child that suspended and was re-injected alone
+// (drainResumed pushes those as singleton nodes too). The rule is
+// deliberately strict: the bottom item is what this worker would run next
+// if the caller suspended, so running it now is the schedule Figure 3
+// prescribes, and the caller is never buried under work it does not depend
+// on. That also requires that no resumed task is waiting for injection on
+// this worker — drainResumed would put it below the child — so with one
+// pending the join suspends and the worker loop gets its scheduling point.
+//
+// A join that will suspend anyway must not pay for the look: an owner-side
+// peek compares the bottom item's identity with the node f's child was
+// pushed in, and only a match is popped. (Popping and pushing back instead
+// stores to the deque's bottom twice, taking its cache line from every
+// polling thief; on the serve workload, where each request's first join
+// finds a sibling at the bottom, that cost ≈4 % of throughput.) Nodes are
+// pooled, so a matching identity can be a recycled node around another
+// task: the popped item is checked for real and pushed back if it is not
+// the fresh child.
+//
+//lhws:owner the awaiting task holds its worker's owner role between resume and report; a popped item that is not the awaited child is pushed straight back
+func (c *Ctx) popUnstolen(f *Future) *task {
+	w := c.t.w
+	if w.resumedPending.Load() {
+		return nil
+	}
+	if it, ok := w.active.q.PeekBottom(); !ok || it.(*pforNode) != f.nd {
+		return nil
+	}
+	it, ok := w.active.q.PopBottom()
+	if !ok {
+		return nil
+	}
+	if child := it.(*pforNode).t; child != nil && child.fut == f && child.fresh {
+		return w.resolveItem(it)
+	}
+	w.active.q.PushBottom(it)
+	return nil
+}
+
+// helpOne runs one task from the caller's own deque as a function call;
+// false means the deque was empty. Blocking mode only, where tasks never
+// yield: every item is a fresh singleton, so it runs through the same
+// runInline as a latency-hiding join on an unstolen child.
+//
+//lhws:owner the waiting task holds its worker's owner role and runs the popped task on its own goroutine
+func (c *Ctx) helpOne() bool {
+	it, ok := c.t.w.active.q.PopBottom()
+	if !ok {
+		return false
+	}
+	c.runInline(c.t.w.resolveItem(it))
+	return true
 }
 
 // awaitConsume awaits the future and returns it to the worker's free
@@ -169,7 +238,6 @@ func (f *Future) awaitConsume(c *Ctx) error {
 	return err
 }
 
-//lhws:owner the awaiting task holds its worker's owner role and lends it to tasks it runs inline
 func (f *Future) awaitBlocking(c *Ctx) error {
 	// Register a cancellation nudge: canceling the scope broadcasts the
 	// condition variable (under f.mu, so the wait loop below cannot miss
@@ -188,18 +256,15 @@ func (f *Future) awaitBlocking(c *Ctx) error {
 			return f.Err()
 		}
 		c.checkpoint()
-		// Help: run tasks from the worker's own deque inline. The awaiting
-		// task holds the worker's owner role, so it may pop and grant the
-		// role to a sub-task for the duration of the inline run.
-		if it, ok := c.t.w.active.q.PopBottom(); ok {
-			c.t.w.runTask(c.t.w.resolveItem(it))
+		// Help: run tasks from the worker's own deque as function calls.
+		if c.helpOne() {
 			continue
 		}
 		// Nothing local: block until completion or cancellation. Work
 		// available elsewhere stays available to other workers — this
 		// worker is blocked, which is precisely the baseline's cost.
 		f.mu.Lock()
-		for !f.done {
+		for !f.done.Load() {
 			if err := c.scope.Err(); err != nil {
 				f.mu.Unlock()
 				panic(cancelPanic{err: err})

@@ -130,7 +130,7 @@ func (w *worker) acquireFuture() *Future {
 		return newFuture()
 	}
 	f.mu.Lock() //lhws:allowblock leaf mutex with O(1) critical section, never held across a wait
-	f.done = false
+	f.done.Store(false)
 	f.err = nil
 	f.w0 = nil
 	f.mu.Unlock()

@@ -25,7 +25,7 @@ func TestPooledShellStaleWakeupFailsClaim(t *testing.T) {
 	// Life one: open a suspension, keep a duplicate reference to its
 	// waiter (the "stale wakeup"), and let the legitimate wake claim it.
 	home.suspend()
-	wt1 := tk.beginWait("pool-test-life1", KindOther, home, nil)
+	wt1 := (&Ctx{t: tk}).beginWait("pool-test-life1", KindOther, home, nil)
 	wt1.refs.Add(1) // the stale duplicate fired below
 	if !wt1.wake(nil) {
 		t.Fatal("life-one wake failed to claim its own suspension")
@@ -50,7 +50,7 @@ func TestPooledShellStaleWakeupFailsClaim(t *testing.T) {
 	// wakeup. Its claim CAS must fail without disturbing life two.
 	tk.w = w
 	home.suspend()
-	wt2 := tk.beginWait("pool-test-life2", KindOther, home, nil)
+	wt2 := (&Ctx{t: tk}).beginWait("pool-test-life2", KindOther, home, nil)
 	if wt1.wake(nil) {
 		t.Fatal("stale life-one wakeup claimed a life-two suspension")
 	}

@@ -17,16 +17,18 @@
 //     it back at the next scheduling point. Workers with an empty active
 //     deque first switch to another owned ready deque, then steal — per §6,
 //     steals target a random victim worker and then one of its ready
-//     deques.
+//     deques. Only heavy edges suspend: an Await on a child nobody stole —
+//     still fresh at the bottom of the awaiter's deque — pops the child and
+//     runs it as a function call.
 //
 //   - Blocking: standard work stealing. Latency operations block the
 //     worker for their full duration (time.Sleep on the worker's
-//     goroutine); Await helps by running queued tasks inline and otherwise
-//     blocks the worker until the future completes.
+//     goroutine); Await helps by running queued tasks as function calls
+//     and otherwise blocks the worker until the future completes.
 //
 // Tasks are goroutines, but scheduled cooperatively: a task runs only while
 // it holds its worker's slot, and control passes back to the worker loop at
-// every scheduling point. This is the standard way to build a user-level
+// every scheduling point that is not such a call. This is the standard way to build a user-level
 // scheduler above the Go runtime, which does not expose its own scheduler
 // for replacement.
 //
@@ -193,7 +195,8 @@ type StealEvent struct {
 // Stats reports counters from one execution. All counts are totals across
 // workers.
 type Stats struct {
-	TasksRun           int64         // task run slices (resumptions included)
+	TasksRun           int64         // grants of a worker slot to a task goroutine (resumptions included)
+	InlineJoins        int64         // children run as a function call by the task that joined them, never granted
 	TasksSpawned       int64         // tasks created
 	TasksCanceled      int64         // tasks unwound by cancellation, deadline, or stall
 	TasksPanicked      int64         // tasks that panicked
@@ -326,6 +329,7 @@ func Run(cfg Config, root func(*Ctx)) (*Stats, error) {
 	for i := range rt.shards {
 		s := &rt.shards[i]
 		st.TasksRun += s.tasksRun.Load()
+		st.InlineJoins += s.inlineJoins.Load()
 		st.TasksSpawned += s.tasksSpawned.Load()
 		st.Suspensions += s.suspensions.Load()
 		st.Switches += s.switches.Load()

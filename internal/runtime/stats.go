@@ -14,6 +14,7 @@ import "sync/atomic"
 // defeat adjacent-line prefetching) so neighbouring workers never share.
 type statShard struct {
 	tasksRun      atomic.Int64
+	inlineJoins   atomic.Int64 // children run as function calls (Ctx.runInline)
 	tasksSpawned  atomic.Int64
 	suspensions   atomic.Int64
 	switches      atomic.Int64
@@ -37,7 +38,7 @@ type statShard struct {
 	stealsLocal  atomic.Int64
 	stealsRemote atomic.Int64
 	batchItems   atomic.Int64
-	_            [128 - 12*8]byte
+	_            [128 - 13*8]byte
 }
 
 // tasksRunTotal sums the run-slice counter across shards; the watchdog

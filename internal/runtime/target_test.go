@@ -54,6 +54,29 @@ func TestWithTargetInheritance(t *testing.T) {
 	}
 }
 
+// TestSuspensionPinsCallingHandlesTarget is the regression test for
+// beginWait reading the task's spawn scope instead of the calling handle's:
+// a wait armed through a derived handle must pin that handle's target on
+// the home deque, or deadline-aware selection loses the request at its
+// first suspension.
+func TestSuspensionPinsCallingHandlesTarget(t *testing.T) {
+	_, err := Run(Config{Workers: 1}, func(c *Ctx) {
+		home := c.t.w.active
+		tc, cancel := c.WithTarget(time.Hour)
+		defer cancel()
+		tc.Latency(100 * time.Microsecond)
+		if got := home.targetNs.Load(); got != tc.Target() {
+			t.Errorf("home deque target = %d after a Latency through a WithTarget handle, want the handle's %d", got, tc.Target())
+		}
+		if got := home.targetScope.Load(); got != tc.scope {
+			t.Errorf("home deque target scope = %p, want the handle's scope %p", got, tc.scope)
+		}
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
 // TestShedBlownTargets drives a subtree whose target is already blown and
 // checks that a thief sheds it: the subtree is canceled with
 // ErrTargetMissed instead of being stolen from, and the shed is counted.

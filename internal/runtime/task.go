@@ -30,6 +30,11 @@ const (
 // of paying newTask + go t.main(). The goroutine survives across lives by
 // looping in main; it exits when the run closes rt.poolStop.
 //
+// A life does not have to be granted a goroutine at all: a child that is
+// still fresh at the bottom of its awaiter's deque is run as a function
+// call on the awaiter's goroutine (Ctx.runInline), and its shell only
+// lends the call its fn, scope, future and Ctx storage.
+//
 // epoch is deliberately NOT reset between lives: the suspension-claim CAS
 // in waiter.wake relies on it increasing monotonically for the lifetime of
 // the shell, so a stale wakeup aimed at a previous life can never claim a
@@ -40,12 +45,21 @@ type task struct {
 	resume  chan *worker    // scheduler → task: run on this worker
 	report  chan reportKind // task → scheduler: done or suspended
 	started bool            // goroutine launched (owner-role access only)
-	recycle bool            // shell returns to the pool on completion
-	home    *rdeque         // deque the task belongs to while suspended
-	w       *worker         // current worker; task-goroutine access only
-	scope   *cancelScope    // cancellation scope the task was spawned under
-	fut     *Future         // completion future (nil for the root task)
-	ctx     Ctx             // the task's Ctx, re-initialized each life
+	// fresh marks a life that has never been granted a slot or run inline:
+	// set by spawn, cleared by the first runTask or runInline. It travels
+	// with the deque item, so whoever pops or steals the item reads it
+	// exclusively. started cannot serve — it stays true across pooled lives.
+	fresh   bool
+	recycle bool    // shell returns to the pool on completion
+	home    *rdeque // deque the task belongs to while suspended
+	w       *worker // current worker; task-goroutine access only
+	// scope is the cancellation scope of the code running on the task's
+	// goroutine, the one checkpoint tests: the scope the task was spawned
+	// under, replaced by an inlined child's for the length of its call
+	// (see runInline). Task-goroutine access only once the life has begun.
+	scope *cancelScope
+	fut   *Future // completion future (nil for the root task)
+	ctx   Ctx     // the life's Ctx, re-initialized each life
 
 	// epoch is the suspension epoch: odd while a suspension is open,
 	// advanced by beginWait and by the (unique) claiming wakeup. See
@@ -90,47 +104,92 @@ func (t *task) main() {
 	}
 }
 
-// runOne runs one life of the shell: the user function, then the
-// completion protocol. A panic in the user function is recorded as the
-// run's fatal error (surfaced from Run) and unified with cancellation: it
-// cancels the root scope so every other task unwinds and the run drains
-// instead of hanging or leaking goroutines. A cancelPanic — the
-// cooperative-cancellation unwind — becomes the task's error without
-// being fatal to the run. Either way the task's future completes (with the
-// error) so joins unwind, and the task reports done so its worker
-// continues. After the report send the goroutine must not touch any task
-// field: the worker may already be recycling the shell into a new life.
+// runOne runs one granted life of the shell: the body, then the report
+// that hands the slot back. After the report send the goroutine must not
+// touch any task field: the worker may already be recycling the shell into
+// a new life.
 func (t *task) runOne() {
 	t.ctx = Ctx{t: t, scope: t.scope}
-	c := &t.ctx
-	defer func() {
-		if r := recover(); r != nil {
-			if cp, ok := r.(cancelPanic); ok {
-				t.err = cp.err
-				t.rt.stats.TasksCanceled.Add(1)
-			} else {
-				t.err = fmt.Errorf("%w: %v", ErrTaskPanic, r)
-				t.rt.stats.TasksPanicked.Add(1)
-				t.rt.recordFatal(t.err)
-			}
-		}
-		// Goodput accounting: a task that finished cleanly but after its
-		// scope's latency target is a late completion — throughput the
-		// server scenario's client no longer wants. One plain field read
-		// when no target is set.
-		if tgt := t.scope.target; tgt != 0 && t.err == nil && time.Now().UnixNano() > tgt {
-			t.rt.stats.TasksLate.Add(1)
-		}
-		if t.fut != nil {
-			t.fut.complete(t.err)
-		}
-		t.rt.taskDone()
-		t.report <- reportDone
-	}()
+	t.err = t.body(&t.ctx)
+	t.report <- reportDone
+}
+
+// body calls the life's user function under c and settles the outcome. It
+// is the unwind boundary of a life whether the life runs on its own
+// goroutine (runOne) or as a function call inside its awaiter (runInline):
+// a panic raised in the user function stops here and becomes the returned
+// error.
+func (t *task) body(c *Ctx) (err error) {
+	defer func() { err = t.rt.settle(recover(), c.scope, t.fut) }()
 	if inj := t.rt.cfg.Faults; inj != nil {
 		inj.Inject(faultpoint.TaskBody)
 	}
 	t.fn(c)
+	return nil
+}
+
+// settle is the completion protocol of one task life, given what its body
+// recovered (nil for a normal return). A panic is recorded as the run's
+// fatal error (surfaced from Run) and unified with cancellation: it
+// cancels the root scope so every other task unwinds and the run drains
+// instead of hanging or leaking goroutines. A cancelPanic — the
+// cooperative-cancellation unwind — becomes the life's error without being
+// fatal to the run. Either way the future completes (with the error) so
+// joins unwind, and the life leaves the live-task count.
+func (rt *runtimeState) settle(r any, scope *cancelScope, fut *Future) error {
+	var err error
+	if r != nil {
+		if cp, ok := r.(cancelPanic); ok {
+			err = cp.err
+			rt.stats.TasksCanceled.Add(1)
+		} else {
+			err = fmt.Errorf("%w: %v", ErrTaskPanic, r)
+			rt.stats.TasksPanicked.Add(1)
+			rt.recordFatal(err)
+		}
+	}
+	// Goodput accounting: a life that finished cleanly but after its
+	// scope's latency target is a late completion — throughput the server
+	// scenario's client no longer wants. One plain field read when no
+	// target is set.
+	if tgt := scope.target; tgt != 0 && err == nil && time.Now().UnixNano() > tgt {
+		rt.stats.TasksLate.Add(1)
+	}
+	if fut != nil {
+		fut.complete(err)
+	}
+	rt.taskDone()
+	return err
+}
+
+// runInline runs child as a plain function call on the calling task's
+// goroutine: a join on work nobody stole is a light edge, and costs a
+// deque pop instead of a suspension and two grants. The caller has just
+// popped child from its own active deque and child is fresh, so nothing
+// else can reach it and its shell goroutine (if it has one) stays parked.
+//
+// The child's code sees a Ctx of the host task under the child's scope.
+// If it reaches a heavy edge, the suspension is the host's — which is
+// blocked on this child anyway — and the host may come back on another
+// worker; everything below reads c.t.w afresh. checkpoint must test the
+// child's scope while the child runs, so t.scope is swapped for the call.
+// The unwind boundary is body: a cancelPanic or user panic inside the
+// child becomes the returned error (the child future's error), and the
+// host unwinds only through its own next checkpoint.
+//
+// The shell is recycled afterwards, never having been granted: TasksRun
+// does not count the life, InlineJoins does.
+func (c *Ctx) runInline(child *task) error {
+	t := c.t
+	child.fresh = false
+	t.w.stat.inlineJoins.Add(1)
+	outer := t.scope
+	t.scope = child.scope
+	child.ctx = Ctx{t: t, scope: child.scope}
+	err := child.body(&child.ctx)
+	t.scope = outer
+	t.w.releaseTask(child)
+	return err
 }
 
 // Ctx is a task's handle to the runtime: the capability to spawn, await,
@@ -178,6 +237,7 @@ func (c *Ctx) spawn(f func(*Ctx), fut *Future) *Future {
 	child := c.t.w.acquireTask(f)
 	child.scope = c.scope
 	child.fut = fut
+	child.fresh = true
 	c.t.rt.liveTasks.Add(1)
 	c.t.w.stat.tasksSpawned.Add(1)
 	// The running task holds the owner role of its worker, so pushing onto
@@ -185,7 +245,9 @@ func (c *Ctx) spawn(f func(*Ctx), fut *Future) *Future {
 	if tgt := c.scope.target; tgt != 0 {
 		c.t.w.active.noteTarget(tgt, c.scope)
 	}
-	c.t.w.active.q.PushBottom(c.t.w.newTaskNode(child))
+	nd := c.t.w.newTaskNode(child)
+	fut.nd = nd
+	c.t.w.active.q.PushBottom(nd)
 	return fut
 }
 
@@ -209,7 +271,7 @@ func (c *Ctx) Latency(d time.Duration) {
 	t := c.t
 	home := c.t.w.active
 	home.suspend()
-	wt := t.beginWait("latency", KindTimer, home, nil)
+	wt := c.beginWait("latency", KindTimer, home, nil)
 	t.rt.pendingWakes.Add(1)
 	wt.refs.Add(1) // timer reference, consumed by deliver
 	wt.timer = t.rt.wheel.AfterFunc(d, latencyFired, wt)

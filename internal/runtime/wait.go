@@ -58,11 +58,16 @@ type wakeSource interface {
 	cancelWait(wt *waiter, err error)
 }
 
-// beginWait opens a suspension: it advances the task's epoch (odd =
-// waiting), pins the home deque for the resume, and records the
+// beginWait opens a suspension of c's task: it advances the task's epoch
+// (odd = waiting), pins the home deque for the resume, and records the
 // suspension in the runtime's registry for watchdog diagnostics. It
 // runs task-side, before the waiter is published to any wakeup source.
 // The caller has already called home.suspend().
+//
+// It is a Ctx method because the wait belongs to the calling handle's
+// scope, not the task's spawn scope: armScope registers it there, and a
+// derived handle (WithTarget) or an inlined child carries a target the
+// task's own scope does not.
 //
 // The returned waiter starts with two references: the task's own
 // (released at the end of finishWait) and the cancellation scope's
@@ -70,7 +75,8 @@ type wakeSource interface {
 // deregisters cleanly). Event sources add their own before publishing.
 //
 //lhws:nosuspend
-func (t *task) beginWait(site string, kind WaitKind, home *rdeque, src wakeSource) *waiter {
+func (c *Ctx) beginWait(site string, kind WaitKind, home *rdeque, src wakeSource) *waiter {
+	t := c.t
 	t.home = home
 	e := t.epoch.Add(1)
 	wt := t.rt.getWaiter()
@@ -86,8 +92,8 @@ func (t *task) beginWait(site string, kind WaitKind, home *rdeque, src wakeSourc
 	// A suspending task pins its target to the home deque it will resume
 	// to, so deadline-aware selection keeps following the request across
 	// suspensions (and across steals that moved it off its spawn deque).
-	// The nil check covers harness-built shells that never ran a life.
-	if s := t.scope; s != nil && s.target != 0 {
+	// The nil check covers harness-built handles without a scope.
+	if s := c.scope; s != nil && s.target != 0 {
 		home.noteTarget(s.target, s)
 	}
 	if kind == KindFD || kind == KindExternal {

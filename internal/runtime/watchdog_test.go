@@ -78,6 +78,10 @@ func TestWatchdogDiagnosesChanDeadlock(t *testing.T) {
 	}, func(c *Ctx) {
 		ch := NewChan[int](0)
 		fut := c.Spawn(func(c2 *Ctx) { ch.Recv(c2) }) // no sender exists
+		// A sibling below the receiver on the deque keeps the join a real
+		// suspension (an unstolen bottom child would run as a call, and the
+		// only open suspension would be the root's own chan-recv).
+		c.Spawn(func(*Ctx) {})
 		fut.Await(c)
 	})
 	if wall := time.Since(start); wall > 10*time.Second {

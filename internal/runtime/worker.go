@@ -3,6 +3,7 @@ package runtime
 import (
 	goruntime "runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lhws/internal/deque"
@@ -30,6 +31,11 @@ type worker struct {
 	active    *rdeque
 	ready     []*rdeque
 	resumedDq []*rdeque
+	// resumedPending mirrors len(resumedDq) > 0 (written under mu, read
+	// without it): drainResumed skips the lock while nothing has resumed,
+	// and a join runs its child as a call only while nothing waits for
+	// injection (see Ctx.popUnstolen).
+	resumedPending atomic.Bool
 
 	assigned     *task
 	live         int32 // allocated deques owned (Lemma 7 observable)
@@ -128,15 +134,17 @@ func (w *worker) loopBlocking() {
 	}
 }
 
-// runTask grants the worker's slot to the task and waits for it to either
-// finish or suspend. Also used inline by blocking-mode Await to help run
-// queued tasks. The running counter brackets the grant so the watchdog can
-// tell an actively executing run from a stalled one. A finished shell is
-// returned to the task free list here: the report-channel receive orders
-// every task-side write before the recycle.
+// runTask grants the worker's slot to the task's goroutine and waits for
+// it to either finish or suspend. Only the worker loops grant; a task that
+// joins or helps runs the popped task as a call instead (Ctx.runInline).
+// The running counter brackets the grant so the watchdog can tell an
+// actively executing run from a stalled one. A finished shell is returned
+// to the task free list here: the report-channel receive orders every
+// task-side write before the recycle.
 func (w *worker) runTask(t *task) reportKind {
 	w.stat.tasksRun.Add(1)
 	w.stat.running.Add(1)
+	t.fresh = false
 	if !t.started {
 		t.started = true
 		go t.main()
@@ -160,14 +168,16 @@ func (w *worker) runTask(t *task) reportKind {
 //lhws:nonblocking
 //lhws:owner runs on the worker-loop goroutine, which owns every deque it drains
 func (w *worker) drainResumed() {
-	w.mu.Lock() //lhws:allowblock leaf mutex with O(1) critical sections, never held across a wait
-	dqs := w.resumedDq
-	if len(dqs) == 0 {
-		w.mu.Unlock()
+	if !w.resumedPending.Load() {
+		// A registration racing this load is seen by the next iteration,
+		// exactly as one landing just after the unlock below would be.
 		return
 	}
+	w.mu.Lock() //lhws:allowblock leaf mutex with O(1) critical sections, never held across a wait
+	dqs := w.resumedDq
 	w.resumedDq = w.drainBuf
 	w.drainBuf = nil
+	w.resumedPending.Store(false)
 	w.mu.Unlock()
 	for i, d := range dqs {
 		dqs[i] = nil
@@ -198,6 +208,7 @@ func (w *worker) drainResumed() {
 func (w *worker) noteResumedDeque(d *rdeque) {
 	w.mu.Lock()
 	w.resumedDq = append(w.resumedDq, d)
+	w.resumedPending.Store(true)
 	w.mu.Unlock()
 }
 
