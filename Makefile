@@ -7,11 +7,8 @@ CORE := ./internal/deque/... ./internal/runtime/... ./internal/sched/...
 
 all: build
 
-# build compiles both socket backends: the portable rotation dispatcher
-# (default) and the epoll readiness poller (lhwsepoll tag, linux only).
 build:
 	$(GO) build ./...
-	$(GO) build -tags lhwsepoll ./...
 
 test:
 	$(GO) test ./...
@@ -20,7 +17,6 @@ test:
 # is the quick local loop.
 race:
 	$(GO) test -race -count=1 ./...
-	$(GO) test -race -count=1 -tags lhwsepoll ./internal/io/
 
 race-core:
 	$(GO) test -race -count=1 $(CORE)
@@ -31,11 +27,9 @@ vet: lhws-vet
 	$(GO) vet ./...
 
 # lhws-vet runs the seven scheduler-aware analyzers (dequeowner, noblock,
-# suspendcolor, lockheld, ctxleak, atomicpair, rngplumb) under both build
-# configurations, so the epoll notifier is analyzed too.
+# suspendcolor, lockheld, ctxleak, atomicpair, rngplumb).
 lhws-vet:
 	$(GO) run ./cmd/lhws-vet ./...
-	$(GO) run ./cmd/lhws-vet -tags lhwsepoll ./...
 
 # lint is the formatting gate: fails if any file needs gofmt.
 lint:
@@ -59,20 +53,19 @@ bench-runtime:
 
 # bench-io regenerates the real-socket record (BENCH_io.json): the echo
 # comparison (latency-hiding server >= 3x blocking throughput at C=64,
-# δ=50ms, bridge pool O(P)) plus the data-plane throughput sweep (pooled
-# read path allocation-free at steady state, vectored writes >= 1.15x
-# scalar by median paired ratio at C=4096; see EXPERIMENTS.md
-# "Real-socket I/O" and "I/O data-plane throughput").
+# δ=50ms) plus the data-plane throughput sweep (pooled read path
+# allocation-free at steady state, vectored writes >= 1.15x scalar by
+# median paired ratio at C=4096; see EXPERIMENTS.md "Real-socket I/O"
+# and "I/O data-plane throughput").
 bench-io:
 	$(GO) run ./cmd/lhws-bench -exp io
 
-# bench-io-smoke is the CI form of the data-plane sweep, run under both
-# socket backends: small load, structural gates only (pooled allocates
-# much less than malloc'd, vectoring does not collapse throughput), no
-# JSON — CI boxes are too noisy for the full-scale margins.
+# bench-io-smoke is the CI form of the data-plane sweep: small load,
+# structural gates only (pooled allocates much less than malloc'd,
+# vectoring does not collapse throughput), no JSON — CI boxes are too
+# noisy for the full-scale margins.
 bench-io-smoke:
 	$(GO) run ./cmd/lhws-bench -exp iothrough -iosmoke
-	$(GO) run -tags lhwsepoll ./cmd/lhws-bench -exp iothrough -iosmoke
 
 # bench-goodput regenerates the overload-robustness record
 # (BENCH_goodput.json): at 4x offered load the shedding server's

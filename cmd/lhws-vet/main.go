@@ -13,9 +13,8 @@
 // call graph, so suspension and blocking facts propagate across package
 // boundaries (see internal/analysis). Flags:
 //
-//	-tags <list>  build tags forwarded to the loader (e.g. lhwsepoll)
-//	-json         machine-readable diagnostics on stdout
-//	-facts        dump the computed interprocedural fact table
+//	-json   machine-readable diagnostics on stdout
+//	-facts  dump the computed interprocedural fact table
 //
 // Exit status is 0 when clean, 1 when any analyzer reported a
 // diagnostic, and 2 on usage or load errors, so CI can gate on it the

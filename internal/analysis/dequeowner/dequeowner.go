@@ -28,7 +28,7 @@
 //
 //  4. The same declaring-type-only rule guards the buffer pool's
 //     reference count (lhws/internal/bufpool's Buf.refs): pooled
-//     buffers cross the cancel window between tasks and bridge
+//     buffers cross the cancel window between tasks and waiter
 //     goroutines, and a refcount touched outside Retain/Release races
 //     recycling — the classic use-after-recycle. Hot-path code is free
 //     to CALL Retain/Release (they are lock-free); only raw field

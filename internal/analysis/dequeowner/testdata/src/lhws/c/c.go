@@ -8,7 +8,7 @@ package c
 
 import "lhws/internal/bufpool"
 
-// hotPath mirrors bridge-side code handing a pooled buffer to another
+// hotPath mirrors waiter-side code handing a pooled buffer to another
 // goroutine: no directive needed, no diagnostics expected.
 func hotPath(pb *bufpool.Buf) {
 	pb.Retain()

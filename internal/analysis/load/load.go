@@ -62,9 +62,6 @@ type Config struct {
 	// Env, when non-nil, replaces the go command's environment. The
 	// analysistest harness uses this to load GOPATH-mode fixtures.
 	Env []string
-	// BuildFlags are extra flags for the go command (e.g. "-tags",
-	// "lhwsepoll"), so the suite can analyze tag-gated files.
-	BuildFlags []string
 }
 
 // listPackage is the subset of `go list -json` output the loader reads.
@@ -155,12 +152,10 @@ func Load(cfg Config, patterns ...string) ([]*Package, error) {
 }
 
 func goList(cfg Config, patterns []string) ([]*listPackage, error) {
-	args := []string{"list"}
-	args = append(args, cfg.BuildFlags...)
-	args = append(args,
-		"-e", "-export", "-deps",
+	args := []string{
+		"list", "-e", "-export", "-deps",
 		"-json=ImportPath,Name,Dir,GoFiles,Export,Standard,DepOnly,Imports,ImportMap,Incomplete,Error",
-	)
+	}
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = cfg.Dir

@@ -13,8 +13,6 @@
 //
 //	-json        emit diagnostics as a JSON array of
 //	             {file,line,col,analyzer,message} objects
-//	-tags <t>    build-tag list forwarded to the go command, so
-//	             tag-gated files (e.g. -tags lhwsepoll) are analyzed
 //	-facts       after the diagnostics, emit the computed function
 //	             summaries (the fact-export format) as JSON
 package multichecker
@@ -51,7 +49,6 @@ func Run(w io.Writer, args []string, analyzers []*analysis.Analyzer) int {
 	fs := flag.NewFlagSet("lhws-vet", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	jsonOut := fs.Bool("json", false, "emit diagnostics as JSON")
-	tags := fs.String("tags", "", "comma-separated build tags for the load")
 	factsOut := fs.Bool("facts", false, "emit computed function summaries as JSON")
 	if err := fs.Parse(args); err != nil {
 		printUsage(w, analyzers)
@@ -65,11 +62,7 @@ func Run(w io.Writer, args []string, analyzers []*analysis.Analyzer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	cfg := load.Config{}
-	if *tags != "" {
-		cfg.BuildFlags = []string{"-tags", *tags}
-	}
-	pkgs, err := load.Load(cfg, patterns...)
+	pkgs, err := load.Load(load.Config{}, patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
@@ -146,7 +139,7 @@ func Run(w io.Writer, args []string, analyzers []*analysis.Analyzer) int {
 }
 
 func printUsage(w io.Writer, analyzers []*analysis.Analyzer) {
-	fmt.Fprintf(w, "usage: lhws-vet [-json] [-facts] [-tags taglist] [packages]\n\nRegistered analyzers:\n\n")
+	fmt.Fprintf(w, "usage: lhws-vet [-json] [-facts] [packages]\n\nRegistered analyzers:\n\n")
 	for _, a := range analyzers {
 		fmt.Fprintf(w, "  %s: %s\n", a.Name, a.Doc)
 	}

@@ -17,10 +17,9 @@
 //   - ExternalOp implementations (Arm, CancelExternal): the runtime
 //     invokes them from completion and cancellation goroutines, and
 //     the interface contract says they must not block or suspend;
-//   - I/O submission backends (the io package's backend interface)
-//     and timer-wheel callbacks (functions passed to
-//     timerwheel.AfterFunc or AfterFuncT), which run on the
-//     bridge/poller and wheel goroutines.
+//   - timer-wheel callbacks (functions passed to
+//     timerwheel.AfterFunc or AfterFuncT), which run on the wheel
+//     goroutine.
 //
 // The may-suspend set is seeded by the runtime's heavy-edge entry
 // points (see internal/analysis/facts) and propagated over the
@@ -93,23 +92,6 @@ func run(pass *analysis.Pass) error {
 				(fn.Name() == "Arm" || fn.Name() == "CancelExternal") &&
 				types.Implements(recv.Type(), iface) {
 				add(fd, "an ExternalOp callback (runs on scheduler-side goroutines; the interface contract forbids suspending)")
-			}
-		}
-	}
-
-	// I/O submission backends (io's unexported backend interface,
-	// visible when analyzing the io package itself). Backend methods run
-	// on bridge and poller goroutines — scheduler-side code that must
-	// never suspend into the runtime it is feeding.
-	if iface := lookupInterface(pass.Pkg, pass.Pkg.Path(), "backend"); iface != nil {
-		names := make(map[string]bool)
-		for i := 0; i < iface.NumMethods(); i++ {
-			names[iface.Method(i).Name()] = true
-		}
-		for fn, fd := range decls {
-			if recv := fn.Signature().Recv(); recv != nil && names[fn.Name()] &&
-				types.Implements(recv.Type(), iface) {
-				add(fd, "an io backend method (runs on bridge/poller goroutines)")
 			}
 		}
 	}

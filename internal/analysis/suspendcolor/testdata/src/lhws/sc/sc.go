@@ -88,22 +88,6 @@ func (o extOp) Arm(h runtime.ExternalHandle) {
 
 func (o extOp) CancelExternal(h runtime.ExternalHandle, cause error) {}
 
-// backend mirrors the io package's submission-backend interface; its
-// implementations run on bridge and poller goroutines.
-type backend interface {
-	park() bool
-	close()
-}
-
-type epollish struct{}
-
-func (b *epollish) park() bool {
-	helper(nil) // want `call may suspend the task inside an io backend method`
-	return true
-}
-
-func (b *epollish) close() {}
-
 // fired is registered as a timer-wheel callback below; it runs on the
 // wheel goroutine.
 func fired(arg any) {
@@ -120,8 +104,4 @@ func arm(w *timerwheel.Wheel) *timerwheel.Timer {
 	return w.AfterFunc(0, fired, nil)
 }
 
-var (
-	_ = extOp{}
-	_ = &epollish{}
-	_ backend
-)
+var _ = extOp{}

@@ -1,7 +1,7 @@
 // Package bufpool is the I/O data plane's buffer allocator: a
 // size-classed pool of reference-counted byte buffers, built so the hot
 // read/write paths of lhws/internal/io run without per-operation
-// allocation and hand buffers between parties — bridge, task, a
+// allocation and hand buffers between parties — waiter, task, a
 // connection's unread stash — by moving a pointer instead of copying
 // bytes.
 //
@@ -86,7 +86,7 @@ func classFor(n int) int {
 // caller that reads short can SetLen down without losing the room to
 // grow back.
 //
-// Get runs on worker hot paths and bridge goroutines alike, so it must
+// Get runs on worker hot paths and waiter goroutines alike, so it must
 // stay non-parking: atomics, sync.Pool fast paths, and at worst an
 // allocation.
 //

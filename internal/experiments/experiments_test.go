@@ -329,8 +329,8 @@ func TestIOBenchSmoke(t *testing.T) {
 	}
 	// Shrunk configuration: the recorded scale (and its >= 3x Check gate)
 	// is make bench-io's job; here we assert the harness itself — both
-	// modes complete every request, the bridge pool stays within its cap,
-	// and hiding beats blocking by a margin no loaded CI box erases.
+	// modes complete every request and hiding beats blocking by a margin
+	// no loaded CI box erases.
 	// Workers stays at 4: in blocking mode the root's AwaitChan and the
 	// accept spine each pin a worker, so fewer than three workers would
 	// leave the handlers starved.
@@ -345,9 +345,6 @@ func TestIOBenchSmoke(t *testing.T) {
 	for _, row := range r.Rows {
 		if row.Requests != cfg.Conns*cfg.Rounds {
 			t.Errorf("%s: %d requests, want %d", row.Mode, row.Requests, cfg.Conns*cfg.Rounds)
-		}
-		if row.BridgePeak > row.BridgeCap {
-			t.Errorf("%s: bridge peak %d exceeds cap %d", row.Mode, row.BridgePeak, row.BridgeCap)
 		}
 	}
 	if r.Ratio < 1.5 {

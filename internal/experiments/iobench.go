@@ -26,8 +26,7 @@ import (
 // connections' requests overlap and throughput approaches C/δ until
 // scheduler overhead binds. The Check gate demands the latency-hiding
 // server sustain at least 3× the blocking throughput — the recorded
-// margin is far larger — and that the I/O machinery stayed O(P): the
-// dispatcher's bridge-goroutine peak within its cap, the cap below C.
+// margin is far larger.
 type IOBenchConfig struct {
 	Workers int
 	Conns   int
@@ -37,8 +36,7 @@ type IOBenchConfig struct {
 }
 
 // ScaledIOBench is the recorded configuration: P=4 workers, C=64
-// connections, δ=50ms — the paper's middle Figure-11 latency, at which
-// hiding matters and rotation slices are negligible.
+// connections, δ=50ms — the paper's middle Figure-11 latency.
 func ScaledIOBench() IOBenchConfig {
 	return IOBenchConfig{Workers: 4, Conns: 64, Rounds: 3, Delta: 50 * time.Millisecond, Frame: 16}
 }
@@ -53,8 +51,6 @@ type IOBenchRow struct {
 	WallMS     float64 `json:"wall_ms"`
 	Requests   int     `json:"requests"`
 	Throughput float64 `json:"requests_per_sec"`
-	BridgePeak int     `json:"bridge_peak"`
-	BridgeCap  int     `json:"bridge_cap"`
 }
 
 // IOBenchResult is the two-mode comparison, serialized as BENCH_io.json.
@@ -174,11 +170,6 @@ func measureEcho(cfg IOBenchConfig, mode runtime.Mode) (IOBenchRow, error) {
 			runtime.AwaitChan[struct{}](c, clientsDone)
 			l.Close()
 			srv.Await(c)
-			row.BridgePeak = io.PeakBridges(c)
-			row.BridgeCap = 2 * c.NumWorkers()
-			if row.BridgeCap < 8 {
-				row.BridgeCap = 8
-			}
 		})
 	if err != nil {
 		return row, err
@@ -217,33 +208,22 @@ func readFullConn(c *runtime.Ctx, cn *io.Conn, p []byte) error {
 
 // Table renders the two-mode comparison.
 func (r *IOBenchResult) Table() *stats.Table {
-	t := stats.NewTable("mode", "P", "conns", "δ", "wall", "req/s", "bridge peak", "bridge cap")
+	t := stats.NewTable("mode", "P", "conns", "δ", "wall", "req/s")
 	for _, row := range r.Rows {
 		t.AddRowf(row.Mode, row.Workers, row.Conns,
 			fmt.Sprintf("%.0fms", row.DeltaMS),
 			fmt.Sprintf("%.0fms", row.WallMS),
-			fmt.Sprintf("%.0f", row.Throughput),
-			row.BridgePeak, row.BridgeCap)
+			fmt.Sprintf("%.0f", row.Throughput))
 	}
 	return t
 }
 
 // Check enforces the latency-hiding contract on real sockets: ≥3× the
-// blocking throughput at the recorded configuration, with the bridge
-// pool O(P) — never a goroutine per connection.
+// blocking throughput at the recorded configuration.
 func (r *IOBenchResult) Check() error {
 	if r.Ratio < 3 {
 		return fmt.Errorf("latency hiding only %.2fx over blocking, want >= 3x (C=%d conns, δ=%.0fms)",
 			r.Ratio, r.Cfg.Conns, float64(r.Cfg.Delta)/float64(time.Millisecond))
-	}
-	for _, row := range r.Rows {
-		if row.BridgePeak > row.BridgeCap {
-			return fmt.Errorf("%s: bridge peak %d exceeds cap %d", row.Mode, row.BridgePeak, row.BridgeCap)
-		}
-		if row.BridgeCap >= row.Conns {
-			return fmt.Errorf("%s: bridge cap %d not O(P) for %d conns (benchmark misconfigured)",
-				row.Mode, row.BridgeCap, row.Conns)
-		}
 	}
 	return nil
 }

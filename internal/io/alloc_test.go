@@ -12,13 +12,12 @@ import (
 // TestAllocsEchoSteadyState is the io-layer allocation gate. The runtime
 // side is already proven exactly allocation-free (the external-await
 // steady-state gate in internal/runtime); this test adds the dispatcher
-// on top: pooled ioOps, the bridge queue, and deadline re-arms. The
-// budget is lenient rather than zero because the kernel-facing layers
-// legitimately allocate a little (netpoll deadline plumbing, and in
-// epoll builds a small per-park table entry) — the gate exists to catch
-// a regression to per-operation garbage (a fresh op, buffer, or closure
-// per read), which would show up as dozens of allocations per
-// roundtrip, not a handful.
+// on top: pooled ioOps, their waiter goroutines, and deadline clears.
+// The budget is lenient rather than zero because the kernel-facing
+// layers legitimately allocate a little (netpoll deadline plumbing) —
+// the gate exists to catch a regression to per-operation garbage (a
+// fresh op, buffer, or closure per read), which would show up as dozens
+// of allocations per roundtrip, not a handful.
 func TestAllocsEchoSteadyState(t *testing.T) {
 	// Raw echo peer: echoes instantly from a plain goroutine, so the
 	// task-side read's data is ready almost immediately.
@@ -66,7 +65,7 @@ func TestAllocsEchoSteadyState(t *testing.T) {
 					t.Errorf("read: %v", rerr)
 				}
 			}
-			for i := 0; i < 64; i++ { // warm op pool, waiter pool, queue capacity
+			for i := 0; i < 64; i++ { // warm op pool, waiter pool
 				roundtrip()
 			}
 			avg = testing.AllocsPerRun(100, roundtrip)
@@ -95,7 +94,7 @@ func TestAllocsPooledStashZero(t *testing.T) {
 	cycle := func() {
 		pb := bufpool.Get(4096)
 		cn.stashUnreadBuf(pb)
-		out := cn.takePendingBuf()
+		out := cn.takePendingBuf(4096)
 		out.Release()
 	}
 	for i := 0; i < 16; i++ { // warm the size-class pool and stash slice
@@ -160,7 +159,7 @@ func TestAllocsReadBufSteadyState(t *testing.T) {
 				}
 				pb.Release()
 			}
-			for i := 0; i < 64; i++ { // warm op pool, buffer pool, bridge
+			for i := 0; i < 64; i++ { // warm op pool, buffer pool
 				read()
 			}
 			avg = testing.AllocsPerRun(100, read)

@@ -37,8 +37,8 @@ func neverReadyPeer(t *testing.T) (addr string, cleanup func()) {
 }
 
 // TestReadCancelPromptUnwind: a deadline on a read that will never be
-// ready must unwind the task within the kick latency, not after a full
-// rotation or watchdog interval. The whole run finishing fast is the
+// ready must unwind the task within the kick latency, not after a
+// watchdog interval. The whole run finishing fast is the
 // assertion that cancellation interrupts the in-flight syscall.
 func TestReadCancelPromptUnwind(t *testing.T) {
 	addr, cleanup := neverReadyPeer(t)
@@ -97,9 +97,9 @@ func TestAcceptCancel(t *testing.T) {
 }
 
 // TestCancelThenReuse pins conn hygiene after a canceled operation: the
-// kick poisons only the canceled attempt (every attempt re-arms its own
-// slice deadline), so the same Conn must work normally from a live
-// scope afterwards.
+// kick poisons only the canceled attempt (every attempt starts by
+// clearing its direction's deadline), so the same Conn must work
+// normally from a live scope afterwards.
 func TestCancelThenReuse(t *testing.T) {
 	_, err := runtime.Run(runtime.Config{Workers: 2, Mode: runtime.LatencyHiding, Deadline: 30 * time.Second},
 		func(c *runtime.Ctx) {

@@ -166,7 +166,7 @@ func firstDiff(a, b []byte) int {
 // move in by reference (stashUnreadBuf), drain byte-oriented across
 // buffer boundaries (takePending), and hand over whole buffers
 // zero-copy (takePendingBuf) — including the compaction of a partially
-// drained head.
+// drained head and the split of a head longer than the reader's max.
 func TestStashMoveUnit(t *testing.T) {
 	cn := &Conn{} // stash needs no socket; kickRead is skipped with no rdOp
 	mk := func(s string) *bufpool.Buf {
@@ -179,7 +179,7 @@ func TestStashMoveUnit(t *testing.T) {
 	in := mk("hello")
 	p0 := &in.Bytes()[0]
 	cn.stashUnreadBuf(in)
-	out := cn.takePendingBuf()
+	out := cn.takePendingBuf(4096)
 	if out == nil || string(out.Bytes()) != "hello" {
 		t.Fatalf("takePendingBuf = %v", out)
 	}
@@ -199,11 +199,42 @@ func TestStashMoveUnit(t *testing.T) {
 		t.Fatalf("takePending = %d %q", n, p[:n])
 	}
 	// Partially drained head compacts into a fresh buffer.
-	rest := cn.takePendingBuf()
+	rest := cn.takePendingBuf(4096)
 	if rest == nil || string(rest.Bytes()) != "fg" {
 		t.Fatalf("compacted tail = %v", rest)
 	}
 	rest.Release()
+
+	// A head longer than max splits: max bytes come out in a fresh
+	// buffer, the stash keeps the rest, order preserved — a fixed-frame
+	// reader's ReadBuf(64) must never return 100 bytes.
+	long := make([]byte, 100)
+	for i := range long {
+		long[i] = byte(i)
+	}
+	cn.stashUnreadBuf(mk(string(long)))
+	first := cn.takePendingBuf(64)
+	if first == nil || !bytes.Equal(first.Bytes(), long[:64]) {
+		t.Fatalf("split head = %v, want the first 64 bytes", first)
+	}
+	first.Release()
+	second := cn.takePendingBuf(64)
+	if second == nil || !bytes.Equal(second.Bytes(), long[64:]) {
+		t.Fatalf("split tail = %v, want the last 36 bytes", second)
+	}
+	second.Release()
+	if cn.hasPending() {
+		t.Fatal("stash not empty after split drain")
+	}
+	// A head of exactly max still moves by pointer.
+	fit := mk("sixteen bytes!!!")
+	pf := &fit.Bytes()[0]
+	cn.stashUnreadBuf(fit)
+	if out := cn.takePendingBuf(16); out == nil || &out.Bytes()[0] != pf {
+		t.Fatal("a head that fits max was copied; want the same backing array (move)")
+	} else {
+		out.Release()
+	}
 
 	// Close-path drain releases without touching a socket.
 	cn.stashUnreadBuf(mk("tail"))

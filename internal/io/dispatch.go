@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"lhws/internal/bufpool"
@@ -15,49 +14,36 @@ import (
 
 // This file is the dispatcher: the per-Run engine that executes socket
 // operations on behalf of suspended tasks. Tasks never touch a socket
-// directly — Conn.Read/Write and Listener.Accept hand a pooled ioOp to
-// the dispatcher and suspend through runtime.AwaitExternalOp; a small
-// bridge-goroutine pool (O(P), capped, never O(connections)) performs
-// the actual syscalls and completes the ops.
+// directly — Conn.Read/Write and Listener.Accept hand an ioOp to the
+// dispatcher and suspend through runtime.AwaitExternalOp; Arm starts one
+// waiter goroutine for the op, which performs the blocking call with the
+// socket's deadline cleared and completes the op when the call returns.
 //
-// What happens to a not-ready operation is the backend's decision (see
-// backend.go). The portable rotation backend retries it through the
-// queue: Go exposes no non-blocking probe on a net.Conn (a deadline is
-// checked before the syscall), so a pending operation cannot be tested
-// for readiness — only attempted. A bridge attempts each queued
-// operation with a short deadline slice; an attempt that times out with
-// no progress re-enqueues the op at the back of the queue and the
-// bridge moves on. C pending reads thus share cap bridges, each blocked
-// at most one slice per attempt, and an op's wakeup latency is bounded
-// by C*slice/cap — far below the operation latencies latency hiding
-// targets. Builds with the lhwsepoll tag replace rotation with true
-// readiness parking (backend_epoll.go): a not-ready op registers its fd
-// with one epoll poller goroutine and leaves the queue entirely.
-//
-// Bridges work in batches sized by the backend's hint: grab up to hint
-// ops under one queue-lock hold, attempt each, then submit every
-// not-ready survivor in one backend parkBatch and every rotation in one
-// enqueueBatch. Completions batch symmetrically — ops the backend wakes
-// together are attempted back-to-back, so their task resumptions land
-// in the same runtime drain and re-enter the scheduler as one pfor-tree
-// deque item.
+// A goroutine blocked in nc.Read with no deadline is a park in the Go
+// netpoller: it costs no CPU and wakes the moment the fd is ready, so
+// the heavy edge costs its own latency and nothing else. The waiters are
+// O(U) — one per suspended I/O task, the same order as the runtime's own
+// parked task shells (see DESIGN.md §9).
 //
 // Cancellation never waits for readiness: aborting a suspended I/O task
-// kicks the in-flight attempt by setting the socket's deadline into the
-// past, which interrupts a blocked Read/Write/Accept immediately. Every
-// attempt re-arms its own slice deadline first, so a stale kick poisons
-// nothing. Per-op deadlines (Conn.SetOpTimeout) ride the run's shared
-// timer wheel and reuse the same kick: the expiry callback marks the op
-// timed out and interrupts it, and the attempt completes it with
-// ErrOpTimeout — an ordinary error return to the task, not an unwind.
-
-const (
-	// pollSlice is one rotation attempt's deadline (the portable
-	// backend's attemptSlice). Small enough that a full rotation of a
-	// busy queue stays well under real I/O latencies; large enough that
-	// an almost-ready socket usually completes in one attempt.
-	pollSlice = 2 * time.Millisecond
-)
+// kicks the waiter by setting the socket's deadline into the past, which
+// interrupts a blocked Read/Write/Accept immediately. Per-op deadlines
+// (Conn.SetOpTimeout) ride the run's shared timer wheel and reuse the
+// same kick: the expiry callback marks the op timed out and interrupts
+// it, and the waiter completes it with ErrOpTimeout — an ordinary error
+// return to the task, not an unwind. A third kick (kickRead) tells a
+// blocked read that its conn's unread stash just gained bytes.
+//
+// Nothing re-arms a deadline, so a lost kick is a hang. Two rules keep
+// kicks from being lost. Every attempt starts in startAttempt, which
+// clears the (possibly stale) deadline under op.mu only after checking
+// every interrupt source — a kick that landed first is seen as a flag,
+// one that lands later overrides the clear. And a waiter holds its
+// direction's turn lock (Conn.rdTurn / wrTurn, Listener.acTurn) from
+// that clear until its socket call has returned: the netpoller re-blocks
+// a kicked goroutine whose deadline was reset before it got to run, so a
+// canceled op's successor must not clear the deadline while its
+// predecessor is still inside the call.
 
 // errOpCanceled is the completion payload of a kicked (canceled)
 // operation. It is never observed by user code: a canceled await either
@@ -79,32 +65,18 @@ type opKind int8
 
 const (
 	opRead opKind = iota
-	opWrite
 	opWritev
 	opAccept
 	opDial
 )
 
-// attemptOutcome is what one bridge attempt did with its op.
-type attemptOutcome int8
-
-const (
-	// attemptDone: the op completed (or discarded) and is no longer the
-	// bridge's to route.
-	attemptDone attemptOutcome = iota
-	// attemptRotate: not ready and not parkable; re-enqueue.
-	attemptRotate
-	// attemptPark: not ready; submit to the backend's parkBatch.
-	attemptPark
-)
-
-// ioOp is one socket operation in flight between a task and the bridge
-// pool. Read and write ops are pooled and recycled by the completing
-// bridge; accept and dial ops are owned by the task (it takes the
-// result connection out of the op after resuming) and die to the GC.
+// ioOp is one socket operation in flight between a task and its waiter
+// goroutine. Read and write ops are pooled and recycled by the waiter;
+// accept and dial ops are owned by the task (it takes the result
+// connection out of the op after resuming) and die to the GC.
 //
 // mu serializes the parties that can touch an op concurrently — the
-// arming task, the executing bridge, a cancellation abort, and the
+// arming task, the waiter, a cancellation abort, a stash kick, and the
 // timer wheel's deadline callback — and h is the op's identity check:
 // CancelExternal compares its handle against op.h, so an abort that
 // raced with completion (and possibly with the op's recycling into a
@@ -121,14 +93,13 @@ type ioOp struct {
 	canceled bool
 	timedOut bool              // per-op deadline expired (Conn.SetOpTimeout)
 	dl       *timerwheel.Timer // armed per-op deadline; stopped at completion
-	// parked is set while the op is registered with the readiness
-	// backend (epoll builds); whoever CASes it back re-enqueues the op.
-	parked atomic.Bool
+	// waitFn is op.wait bound once per op: `go op.waitFn()` starts the
+	// waiter without the heap closure a `go` with arguments costs.
+	waitFn func()
 
 	cn  *Conn     // read / write
 	ln  *Listener // accept
-	buf []byte
-	off int // write progress across rotation attempts
+	buf []byte    // read destination
 
 	// Pooled-read state: pb non-nil means buf is pb's payload and the op
 	// holds pb's reference until completion settles ownership (task on a
@@ -136,31 +107,43 @@ type ioOp struct {
 	// the pool otherwise). See settleBuf.
 	pb *bufpool.Buf
 
-	// Vectored-write state (opWritev): vec is consumed front-to-front by
-	// writev attempts, voff accumulates bytes written across them.
+	// Write state: vec is consumed front-to-front by writev attempts,
+	// voff accumulates bytes written across them. one backs Conn.Write's
+	// single-buffer vector so it needs no allocation.
 	vec  net.Buffers
 	voff int
+	one  [1][]byte
 
 	// Dial / Accept result handoff. resMu (not mu) guards it because the
 	// task takes the result after the op's handle is already cleared.
 	resMu     sync.Mutex
 	res       net.Conn
-	abandoned bool // cancel ran before the result landed: closer is the bridge
+	abandoned bool // cancel ran before the result landed: closer is the waiter
 	dialNet   string
 	dialAddr  string
 	ctxCancel context.CancelFunc // interrupts an in-flight DialContext
 }
 
-// Arm publishes the op to the dispatcher's bridge pool. Runs task-side.
+// Arm publishes the op and starts its waiter. Runs task-side.
 func (op *ioOp) Arm(h runtime.ExternalHandle) {
 	op.mu.Lock()
 	op.h = h
+	if op.waitFn == nil {
+		op.waitFn = op.wait
+	}
 	op.mu.Unlock()
-	op.disp().enqueue(op)
+	if !op.disp().addWaiter() {
+		// Only reachable for ops with no live awaiting task (the runtime
+		// closes the dispatcher after every task has finished); release
+		// the stale op's claim rather than strand it.
+		op.finish(0, errOpCanceled, true)
+		return
+	}
+	go op.waitFn()
 }
 
 // CancelExternal interrupts the op: mark it canceled and kick whatever
-// blocking call a bridge may have in flight. Runs on the canceling
+// blocking call its waiter has in flight. Runs on the canceling
 // goroutine; must not block (deadline sets and context cancels only).
 func (op *ioOp) CancelExternal(h runtime.ExternalHandle, cause error) {
 	op.mu.Lock()
@@ -171,15 +154,14 @@ func (op *ioOp) CancelExternal(h runtime.ExternalHandle, cause error) {
 		return
 	}
 	op.canceled = true
-	// Capture the life's identity under the lock: once mu is released the
-	// kicked attempt can complete and the op be recycled into a new life
-	// whose task-side fields (kind, cn, ln) are being rewritten while the
-	// code below still runs.
-	kind, d := op.kind, op.disp()
+	// Capture the kind under the lock: once mu is released the kicked
+	// waiter can complete and the op be recycled into a new life whose
+	// task-side fields are being rewritten while the code below runs.
+	kind := op.kind
 	switch kind {
 	case opRead:
 		op.cn.nc.SetReadDeadline(aLongTimeAgo)
-	case opWrite, opWritev:
+	case opWritev:
 		op.cn.nc.SetWriteDeadline(aLongTimeAgo)
 	case opAccept:
 		if dl, ok := op.ln.nl.(deadliner); ok {
@@ -193,7 +175,7 @@ func (op *ioOp) CancelExternal(h runtime.ExternalHandle, cause error) {
 	op.mu.Unlock()
 	if kind == opAccept || kind == opDial {
 		// A result that already landed will never be taken: close it.
-		// If none landed yet, the bridge closes it on arrival.
+		// If none landed yet, the waiter closes it on arrival.
 		op.resMu.Lock()
 		if op.res != nil {
 			op.res.Close()
@@ -203,84 +185,52 @@ func (op *ioOp) CancelExternal(h runtime.ExternalHandle, cause error) {
 		}
 		op.resMu.Unlock()
 	}
-	if op.parked.CompareAndSwap(true, false) {
-		// The op sits in the readiness backend, not the queue, and its
-		// fd may never fire; route it back to a bridge to be completed.
-		// (If the CAS stole a recycled life's fresh park claim instead,
-		// the bridge simply retries that life's attempt — wasted work,
-		// never a lost op.)
-		d.enqueue(op)
-	}
 }
 
-// kickRead interrupts a read attempt so it re-checks cn's unread stash:
+// kickRead interrupts a blocked read so it re-checks cn's unread stash:
 // salvaged bytes live in userspace now, so the socket may never signal
-// readiness for them. Same kick/unpark protocol as CancelExternal —
-// including its tolerance for op having been recycled into a new life
-// (the identity check under mu skips the kick; a stolen park claim
-// merely costs that life one extra attempt) — but nothing is canceled.
+// readiness for them. op may have been recycled into a new life since
+// the caller looked it up; the identity check under mu skips the kick
+// unless it is (still, or again) a live read on cn — and a read on cn
+// is exactly who must see the stash.
 func (op *ioOp) kickRead(cn *Conn) {
 	op.mu.Lock()
 	if op.kind == opRead && op.cn == cn && !op.canceled {
 		cn.nc.SetReadDeadline(aLongTimeAgo)
 	}
 	op.mu.Unlock()
-	if op.parked.CompareAndSwap(true, false) {
-		cn.d.enqueue(op)
-	}
 }
 
 // opDeadlineFired is the timer-wheel callback for a per-op deadline
 // (Conn.SetOpTimeout): mark the op timed out and kick it like a cancel
-// would, so the in-flight attempt returns promptly and completes with
-// ErrOpTimeout. Runs on the wheel goroutine. The op.dl identity check
-// makes a stale fire — the timer lost its Stop race and the op has
-// completed, possibly recycled and re-armed with a fresh timer — a
-// no-op: a fired timer that is not the op's current one belongs to a
-// finished life.
+// would, so the waiter returns promptly and completes with ErrOpTimeout.
+// Runs on the wheel goroutine. The op.dl identity check makes a stale
+// fire — the timer lost its Stop race and the op has completed, possibly
+// recycled and re-armed with a fresh timer — a no-op: a fired timer that
+// is not the op's current one belongs to a finished life.
 //
 //lhws:nosuspend
 func opDeadlineFired(t *timerwheel.Timer, arg any) {
 	op := arg.(*ioOp)
 	op.mu.Lock()
-	if op.dl != t {
-		op.mu.Unlock()
-		return
-	}
-	op.dl = nil
-	op.timedOut = true
-	d := op.disp()
-	switch op.kind {
-	case opRead:
-		op.cn.nc.SetReadDeadline(aLongTimeAgo)
-	case opWrite, opWritev:
-		op.cn.nc.SetWriteDeadline(aLongTimeAgo)
+	if op.dl == t {
+		op.dl = nil
+		op.timedOut = true
+		switch op.kind {
+		case opRead:
+			op.cn.nc.SetReadDeadline(aLongTimeAgo)
+		case opWritev:
+			op.cn.nc.SetWriteDeadline(aLongTimeAgo)
+		}
 	}
 	op.mu.Unlock()
-	if op.parked.CompareAndSwap(true, false) {
-		d.enqueue(op)
-	}
 }
 
 func (op *ioOp) disp() *dispatcher {
-	switch op.kind {
-	case opAccept:
+	if op.kind == opAccept {
 		return op.ln.d
-	default:
-		return op.cn.d
 	}
-}
-
-// parkTarget is the raw-fd view the backend parks the op on. Read by
-// the bridge while it still owns the op (between an attemptPark outcome
-// and the parkBatch submission).
-func (op *ioOp) parkTarget() parkable {
-	switch op.kind {
-	case opAccept:
-		return op.ln.sc
-	default:
-		return op.cn.sc
-	}
+	return op.cn.d
 }
 
 // loadFlags snapshots the op's interrupt flags under mu.
@@ -296,25 +246,18 @@ type deadliner interface {
 	SetDeadline(time.Time) error
 }
 
-// dispatcher owns the bridge pool and the pending-op queue for one Run.
-// It is created lazily through Ctx.Aux and closed by the runtime after
-// the task pool drains, so bridges never outlive the run (the leak tests
-// depend on close being synchronous).
+// dispatcher counts and joins one Run's waiter goroutines and pools
+// their ops. It is created lazily through Ctx.Aux and closed by the
+// runtime after the task pool drains, so waiters never outlive the run
+// (the leak tests depend on close being synchronous).
 type dispatcher struct {
-	mu      sync.Mutex
-	cond    sync.Cond
-	queue   []*ioOp
-	head    int
-	idle    int
-	bridges int
-	peak    int // high-water bridge count; the benchmark gates on it
-	cap     int
-	closed  bool
-	wg      sync.WaitGroup
-	ops     sync.Pool
+	mu     sync.Mutex
+	live   int // waiter goroutines running now
+	peak   int // high-water live; the benchmark records it
+	closed bool
+	wg     sync.WaitGroup
+	ops    sync.Pool
 
-	be    backend
-	slice time.Duration // be.attemptSlice(), cached off the hot path
 	// wheel is the run's shared timer wheel (runtime.Ctx.Wheel): per-op
 	// deadlines are O(1) list inserts there, and the runtime shuts it
 	// down before the dispatcher closes, so no deadline callback can
@@ -324,21 +267,10 @@ type dispatcher struct {
 
 type dispKey struct{}
 
-// dispFor returns the Run's dispatcher, creating it on first use. The
-// bridge cap is O(P): rotation means pending operations share bridges
-// instead of holding one each, so the pool never scales with the number
-// of connections.
+// dispFor returns the Run's dispatcher, creating it on first use.
 func dispFor(c *runtime.Ctx) *dispatcher {
 	return c.Aux(dispKey{}, func() (any, func()) {
-		d := &dispatcher{}
-		d.cond.L = &d.mu
-		d.cap = 2 * c.NumWorkers()
-		if d.cap < 8 {
-			d.cap = 8
-		}
-		d.wheel = c.Wheel()
-		d.be = newBackend(d)
-		d.slice = d.be.attemptSlice()
+		d := &dispatcher{wheel: c.Wheel()}
 		return d, d.close
 	}).(*dispatcher)
 }
@@ -351,219 +283,90 @@ func (d *dispatcher) getOp() *ioOp {
 }
 
 func (d *dispatcher) putOp(op *ioOp) {
-	// The reset must hold op.mu: a parking bridge that lost its claim
-	// between epoll registration and its post-registration cancel
-	// re-check (epollBackend.parkBatch) may still read op.canceled after
-	// a readiness-claimed completion recycles the op. The lock orders
-	// that late read against this reset; the reader's stale parked CAS is
-	// harmless either way (pointer-equality-guarded drop, and the claim
-	// protocol enqueues the op exactly once).
+	// The reset must hold op.mu: a late kickRead or CancelExternal that
+	// looked the op up before it completed reads these fields under the
+	// lock, and must see either the finished life or the cleared one.
 	op.mu.Lock()
 	op.cn = nil
 	op.ln = nil
 	op.buf = nil
-	op.off = 0
 	op.pb = nil
 	op.vec = nil
 	op.voff = 0
+	op.one[0] = nil
 	op.canceled = false
 	op.timedOut = false
 	op.mu.Unlock()
 	d.ops.Put(op)
 }
 
-// enqueue hands an op to the bridge pool: append, then wake an idle
-// bridge or grow the pool up to cap. Called from tasks (Arm), bridges
-// (rotation), the backend (readiness), and aborts (unparking).
-func (d *dispatcher) enqueue(op *ioOp) {
+// addWaiter registers one waiter goroutine about to start; false means
+// the dispatcher is closed and the op must be discarded instead.
+func (d *dispatcher) addWaiter() bool {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.closed {
-		// Only reachable for ops with no live awaiting task (the runtime
-		// closes the dispatcher after every task has finished); release
-		// the stale op's claim rather than strand it.
-		d.mu.Unlock()
-		op.discardLocked(errOpCanceled)
-		return
+		return false
 	}
-	if op.kind == opDial {
-		// A dial holds its goroutine for the entire connect (DialContext
-		// has no rotation slice), so it runs on a dedicated goroutine
-		// outside the bridge cap: cap concurrent slow dials would
-		// otherwise occupy every bridge and starve queued reads, writes,
-		// and accepts until OS connect timeouts expired. The goroutine
-		// parks in the kernel, cancellation interrupts it through the
-		// dial context, and close() still joins it via wg.
-		d.wg.Add(1)
-		d.mu.Unlock()
-		go func() {
-			defer d.wg.Done()
-			op.runDial(d)
-		}()
-		return
+	d.live++
+	if d.live > d.peak {
+		d.peak = d.live
 	}
-	d.queue = append(d.queue, op)
-	switch {
-	case d.idle > 0:
-		d.cond.Signal()
-	case d.bridges < d.cap:
-		d.bridges++
-		if d.bridges > d.peak {
-			d.peak = d.bridges
-		}
-		d.wg.Add(1)
-		go d.bridge()
-	}
-	d.mu.Unlock()
+	d.wg.Add(1)
+	return true
 }
 
-// enqueueBatch is enqueue for a set of ops that became runnable
-// together — a backend readiness sweep, or a bridge round's rotations:
-// one queue-lock hold, then as many bridge wakeups/spawns as the batch
-// can use. Dials never appear here (they neither rotate nor park).
-func (d *dispatcher) enqueueBatch(ops []*ioOp) {
-	if len(ops) == 0 {
-		return
-	}
+func (d *dispatcher) waiterDone() {
 	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		for _, op := range ops {
-			op.discardLocked(errOpCanceled)
-		}
-		return
-	}
-	d.queue = append(d.queue, ops...)
-	need := len(ops)
-	if k := d.idle; k > 0 {
-		if k > need {
-			k = need
-		}
-		need -= k
-		for ; k > 0; k-- {
-			d.cond.Signal()
-		}
-	}
-	for need > 0 && d.bridges < d.cap {
-		d.bridges++
-		if d.bridges > d.peak {
-			d.peak = d.bridges
-		}
-		d.wg.Add(1)
-		go d.bridge()
-		need--
-	}
+	d.live--
 	d.mu.Unlock()
+	d.wg.Done()
 }
 
-// close drains the queue and joins every bridge. The runtime calls it
-// after the run's last task has finished, so every op still queued or
-// in flight is a canceled straggler whose completion nobody awaits.
+// close joins every waiter. The runtime calls it after the run's last
+// task has finished, so every op still in flight is a canceled (kicked)
+// straggler whose completion nobody awaits.
 func (d *dispatcher) close() {
 	d.mu.Lock()
 	d.closed = true
-	d.cond.Broadcast()
 	d.mu.Unlock()
-	// Join the bridges before tearing down the backend: a bridge
-	// mid-parkBatch must not race the epoll fd's close (fd-number reuse).
 	d.wg.Wait()
-	d.be.close()
 }
 
-// peakBridges reports the bridge pool's high-water mark.
-func (d *dispatcher) peakBridges() int {
+// peakWaiters reports the high-water count of live waiter goroutines.
+func (d *dispatcher) peakWaiters() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.peak
 }
 
-// backendName reports the active backend ("rotate" or "epoll"); the
-// benchmarks record it alongside their results.
-func (d *dispatcher) backendName() string { return d.be.name() }
-
-// bridgeScratch is one bridge's reusable batch buffers, so a steady
-// stream of batched rounds allocates nothing.
-type bridgeScratch struct {
-	batch  []*ioOp
-	parks  []parkReq
-	rotate []*ioOp
+// wait is the op's waiter goroutine: perform the blocking call, complete
+// the op. d is read first — completion recycles the op.
+func (op *ioOp) wait() {
+	d := op.disp()
+	switch op.kind {
+	case opRead:
+		op.runRead(d)
+	case opWritev:
+		op.runWritev(d)
+	case opAccept:
+		op.runAccept()
+	case opDial:
+		op.runDial()
+	}
+	d.waiterDone()
 }
 
-// bridge is one pool goroutine: grab up to the backend's hint of queued
-// ops, attempt each, park the not-ready survivors in one batch, rotate
-// the rest in one batch, repeat. Exits when the dispatcher is closed
-// and the queue is empty.
-//
-//lhws:nosuspend
-func (d *dispatcher) bridge() {
-	defer d.wg.Done()
-	hint := d.be.batchHint()
-	if hint < 1 {
-		hint = 1
-	}
-	var sc bridgeScratch
-	d.mu.Lock()
-	for {
-		for d.head == len(d.queue) && !d.closed {
-			d.idle++
-			d.cond.Wait()
-			d.idle--
-		}
-		if d.head == len(d.queue) {
-			d.mu.Unlock()
-			return
-		}
-		take := len(d.queue) - d.head
-		if take > hint {
-			take = hint
-		}
-		sc.batch = sc.batch[:0]
-		for i := 0; i < take; i++ {
-			sc.batch = append(sc.batch, d.queue[d.head])
-			d.queue[d.head] = nil
-			d.head++
-		}
-		if d.head == len(d.queue) {
-			d.queue = d.queue[:0]
-			d.head = 0
-		}
-		d.mu.Unlock()
-		sc.parks = sc.parks[:0]
-		sc.rotate = sc.rotate[:0]
-		for _, op := range sc.batch {
-			switch op.run(d) {
-			case attemptPark:
-				sc.parks = append(sc.parks, parkReq{op: op, rc: op.parkTarget(),
-					kind: op.kind, cn: op.cn})
-			case attemptRotate:
-				sc.rotate = append(sc.rotate, op)
-			}
-		}
-		if len(sc.parks) > 0 {
-			sc.rotate = d.be.parkBatch(sc.parks, sc.rotate)
-		}
-		d.enqueueBatch(sc.rotate)
-		d.mu.Lock()
-	}
-}
-
-// takeHandle ends the op's completion-side lifetime: it drops the op's
-// Close-visibility registration on its Conn/Listener (pooled ops are
-// about to be recycled and must not be unparked by a stale Close),
-// stops any armed per-op deadline (a fire losing the race is ignored by
-// the op.dl identity check), and zeroes the handle, ending the
-// cancel-visibility window.
+// takeHandle ends the op's completion-side lifetime: it drops a read's
+// stash-kick registration on its Conn (pooled ops are about to be
+// recycled), stops any armed per-op deadline (a fire losing the race is
+// ignored by the op.dl identity check), and zeroes the handle, ending
+// the cancel-visibility window.
 //
 //lhws:nosuspend
 func (op *ioOp) takeHandle() runtime.ExternalHandle {
-	switch op.kind {
-	case opRead, opWrite, opWritev:
-		if op.cn != nil {
-			op.cn.clearOp(op.kind, op)
-		}
-	case opAccept:
-		if op.ln != nil {
-			op.ln.clearAccept(op)
-		}
+	if op.kind == opRead {
+		op.cn.clearRead(op)
 	}
 	op.mu.Lock()
 	if op.dl != nil {
@@ -576,33 +379,31 @@ func (op *ioOp) takeHandle() runtime.ExternalHandle {
 	return h
 }
 
-// completeLocked delivers the payload to the awaiting task. Returns
-// whether it reached the task; false means a cancellation claimed the
-// suspension first and the result fell away.
+// finish ends the op with the attempt's outcome and reports whether the
+// payload reached the task (false: a cancellation claimed the suspension
+// first and the result fell away). An attempt that observed its op
+// canceled only releases its claim: the abort that kicked it owns the
+// task's wake, and a normal Complete would race that wake — a race the
+// attempt could win, surfacing a kicked attempt's payload to the task as
+// a successful return (see ExternalHandle.Discard).
 //
 //lhws:nosuspend
-func (op *ioOp) completeLocked(n int, err error) bool {
-	return op.takeHandle().Complete(n, err)
-}
-
-// discardLocked is completeLocked for an attempt that observed its op
-// canceled: the abort that kicked it owns the task's wake, so the
-// completion only releases its claim instead of racing the abort —
-// a race the attempt could win, surfacing a kicked attempt's payload
-// to the task as a successful return (see ExternalHandle.Discard).
-//
-//lhws:nosuspend
-func (op *ioOp) discardLocked(err error) {
-	op.takeHandle().Discard(err)
+func (op *ioOp) finish(n int, err error, canceled bool) bool {
+	h := op.takeHandle()
+	if canceled {
+		h.Discard(err)
+		return false
+	}
+	return h.Complete(n, err)
 }
 
 // settleBuf resolves a pooled read buffer's ownership after the op's
-// completion (or discard). won is completeLocked's claim result (false
-// for discards), n the attempt's progress. Exactly one party ends up
+// completion (or discard). won is finish's claim result (false for
+// discards), n the attempt's progress. Exactly one party ends up
 // owning the buffer's reference:
 //
 //   - claim won: the task — it is returning from ReadBuf with the
-//     buffer in hand, so the bridge only forgets its pointer;
+//     buffer in hand, so the waiter only forgets its pointer;
 //   - claim lost with progress: the conn's unread stash — the bytes are
 //     already off the socket and the next read must see them, so the
 //     buffer MOVES into the stash (the zero-copy half of the cancel
@@ -630,225 +431,154 @@ func (op *ioOp) settleBuf(won bool, n int) {
 	pb.Release()
 }
 
-// run executes one attempt of the op on the calling bridge and reports
-// how to route it. Dials never reach here: enqueue routes them to
-// dedicated goroutines.
-func (op *ioOp) run(d *dispatcher) attemptOutcome {
-	switch op.kind {
-	case opRead:
-		return op.runRead(d)
-	case opWrite:
-		return op.runWrite(d)
-	case opWritev:
-		return op.runWritev(d)
-	case opAccept:
-		return op.runAccept(d)
-	}
-	return attemptDone
-}
-
-// startAttempt arms the slice deadline for one attempt under op.mu.
-// Returning false means the op was canceled: the caller completes it
-// without touching the socket. The mutex closes the kick race: either
-// the abort sees this attempt's deadline already armed and overrides it
-// with the past kick, or this attempt sees canceled already set.
-func (op *ioOp) startAttempt(d *dispatcher, arm func(time.Time) error) bool {
+// startAttempt begins one indefinite attempt: under op.mu, re-check the
+// interrupt flags and — only if neither is set — clear the direction's
+// deadline, which may still hold a kick aimed at this op or at a
+// finished one. The mutex closes the kick race: a cancel or per-op
+// timeout either sees the deadline already cleared and overrides it
+// with the past kick, or this attempt sees the flag already set and
+// never clears. The caller holds the direction's turn lock.
+func (op *ioOp) startAttempt(clear func(time.Time) error) (canceled, timedOut bool) {
 	op.mu.Lock()
-	if op.canceled {
-		op.mu.Unlock()
-		return false
+	canceled, timedOut = op.canceled, op.timedOut
+	if !canceled && !timedOut {
+		clear(time.Time{})
 	}
-	arm(time.Now().Add(d.slice))
 	op.mu.Unlock()
-	return true
+	return canceled, timedOut
 }
 
-func (op *ioOp) runRead(d *dispatcher) attemptOutcome {
+func (op *ioOp) runRead(d *dispatcher) {
 	cn := op.cn
-	nc := cn.nc
-	if !op.startAttempt(d, nc.SetReadDeadline) {
-		op.settleBuf(false, 0)
-		op.discardLocked(errOpCanceled)
-		d.putOp(op)
-		return attemptDone
-	}
-	// Bytes salvaged from a canceled predecessor take priority over the
-	// socket: they were already consumed off it, so the fd may never
-	// signal readiness for them again. Checked after startAttempt so a
-	// canceled op cannot drain bytes meant for its successor (and if a
-	// cancel lands between the two, the claim-loss re-stash below puts
-	// them back).
-	if n := cn.takePending(op.buf); n > 0 {
-		op.settleBuf(op.completeLocked(n, nil), n)
-		d.putOp(op)
-		return attemptDone
-	}
-	n, err := nc.Read(op.buf)
-	if n == 0 && isTimeout(err) {
-		canceled, timedOut := op.loadFlags()
-		switch {
-		case canceled:
-			op.settleBuf(false, 0)
-			op.discardLocked(err)
-			d.putOp(op)
-			return attemptDone
-		case timedOut:
-			op.settleBuf(op.completeLocked(0, errOpTimeout), 0)
-			d.putOp(op)
-			return attemptDone
-		}
-		return parkOrRotate(cn.sc)
-	}
-	if n > 0 && isTimeout(err) {
-		// Data arrived within the slice: a timeout alongside progress is
-		// not an error for the caller. (This also covers a per-op
-		// deadline firing just as bytes landed — the data wins.)
-		err = nil
-	}
-	if canceled, _ := op.loadFlags(); canceled {
-		// The attempt was kicked; the abort owns the task's wake. Bytes
-		// consumed in the kick window are already off the socket: stash
-		// them for the conn's next read instead of silently
-		// desynchronizing the stream.
-		op.settleBuf(false, n)
-		op.discardLocked(err)
-		d.putOp(op)
-		return attemptDone
-	}
-	op.settleBuf(op.completeLocked(n, err), n)
+	// The turn is held until the attempt's bytes are settled, so a
+	// successor read cannot pull later bytes off the socket before a
+	// canceled predecessor has stashed its earlier ones.
+	cn.rdTurn.Lock()
+	n, canceled, err := op.read(cn)
+	op.settleBuf(op.finish(n, err, canceled), n)
+	cn.rdTurn.Unlock()
 	d.putOp(op)
-	return attemptDone
 }
 
-func (op *ioOp) runWrite(d *dispatcher) attemptOutcome {
-	nc := op.cn.nc
-	if !op.startAttempt(d, nc.SetWriteDeadline) {
-		op.discardLocked(errOpCanceled)
-		d.putOp(op)
-		return attemptDone
-	}
-	n, err := nc.Write(op.buf[op.off:])
-	op.off += n
-	if op.off < len(op.buf) && isTimeout(err) {
-		canceled, timedOut := op.loadFlags()
-		switch {
-		case canceled:
-			// Kicked: the abort owns the wake. Bytes already on the wire
-			// stay there — the unwinding task never reads the progress
-			// count.
-			op.discardLocked(err)
-			d.putOp(op)
-			return attemptDone
-		case timedOut:
-			op.completeLocked(op.off, errOpTimeout)
-			d.putOp(op)
-			return attemptDone
+// read attempts the socket until an attempt ends in something other
+// than a bare kick. A kicked attempt's abort owns the task's wake; bytes
+// it consumed in the kick window are already off the socket, and
+// settleBuf stashes them for the conn's next read instead of silently
+// desynchronizing the stream.
+func (op *ioOp) read(cn *Conn) (n int, canceled bool, err error) {
+	for {
+		canceled, timedOut := op.startAttempt(cn.nc.SetReadDeadline)
+		if canceled {
+			return 0, true, errOpCanceled
 		}
-		return parkOrRotate(op.cn.sc)
+		// Bytes salvaged from a canceled predecessor take priority over
+		// the socket: they were already consumed off it, so the fd may
+		// never signal readiness for them again. Checked after
+		// startAttempt so a canceled op cannot drain bytes meant for its
+		// successor (if a cancel lands between the two, the claim-loss
+		// re-stash puts them back) and so a kickRead the clear erased is
+		// still seen.
+		if n := cn.takePending(op.buf); n > 0 {
+			return n, false, nil
+		}
+		if timedOut {
+			return 0, false, errOpTimeout
+		}
+		n, err := cn.nc.Read(op.buf)
+		canceled, timedOut = op.loadFlags()
+		switch {
+		case canceled || !isTimeout(err):
+			return n, canceled, err
+		case n > 0:
+			// A kick alongside progress is not an error for the caller (a
+			// per-op deadline firing just as bytes landed: the data wins).
+			return n, false, nil
+		case timedOut:
+			return 0, false, errOpTimeout
+		}
+		// A stash kick, or a stale kick from a finished op: look again.
 	}
-	if op.off == len(op.buf) && isTimeout(err) {
-		err = nil
-	}
-	if canceled, _ := op.loadFlags(); canceled {
-		op.discardLocked(err)
-		d.putOp(op)
-		return attemptDone
-	}
-	op.completeLocked(op.off, err)
-	d.putOp(op)
-	return attemptDone
 }
 
-// runWritev is runWrite over a buffer vector: one writev syscall per
-// attempt (net.Buffers.WriteTo), consuming the written prefix so a
-// partial attempt resumes exactly where it stopped.
-func (op *ioOp) runWritev(d *dispatcher) attemptOutcome {
-	nc := op.cn.nc
-	if !op.startAttempt(d, nc.SetWriteDeadline) {
-		op.discardLocked(errOpCanceled)
-		d.putOp(op)
-		return attemptDone
-	}
-	n, err := op.vec.WriteTo(nc)
-	op.voff += int(n)
-	if len(op.vec) > 0 && isTimeout(err) {
-		canceled, timedOut := op.loadFlags()
-		switch {
-		case canceled:
-			op.discardLocked(err)
-			d.putOp(op)
-			return attemptDone
-		case timedOut:
-			op.completeLocked(op.voff, errOpTimeout)
-			d.putOp(op)
-			return attemptDone
-		}
-		return parkOrRotate(op.cn.sc)
-	}
-	if len(op.vec) == 0 && isTimeout(err) {
-		err = nil
-	}
-	if canceled, _ := op.loadFlags(); canceled {
-		op.discardLocked(err)
-		d.putOp(op)
-		return attemptDone
-	}
-	op.completeLocked(op.voff, err)
+func (op *ioOp) runWritev(d *dispatcher) {
+	cn := op.cn
+	cn.wrTurn.Lock()
+	canceled, err := op.writev(cn)
+	cn.wrTurn.Unlock()
+	// Kicked: the abort owns the wake. Bytes already on the wire stay
+	// there — the unwinding task never reads the progress count.
+	op.finish(op.voff, err, canceled)
 	d.putOp(op)
-	return attemptDone
 }
 
-func (op *ioOp) runAccept(d *dispatcher) attemptOutcome {
-	arm := func(t time.Time) error { return nil }
-	if dl, ok := op.ln.nl.(deadliner); ok {
-		arm = dl.SetDeadline
-	}
-	if !op.startAttempt(d, arm) {
-		op.discardLocked(errOpCanceled)
-		return attemptDone
-	}
-	nc, err := op.ln.nl.Accept()
-	if err != nil && nc == nil && isTimeout(err) {
-		if canceled, _ := op.loadFlags(); !canceled {
-			return parkOrRotate(op.ln.sc)
+// writev writes the op's buffer vector: net.Buffers.WriteTo issues one
+// writev syscall per ready window, consumes the written prefix and
+// blocks until the vector drains, so a kicked attempt resumes exactly
+// where it stopped.
+func (op *ioOp) writev(cn *Conn) (canceled bool, err error) {
+	for {
+		canceled, timedOut := op.startAttempt(cn.nc.SetWriteDeadline)
+		if canceled {
+			return true, errOpCanceled
 		}
-		op.discardLocked(err)
-		return attemptDone
+		if timedOut {
+			return false, errOpTimeout
+		}
+		n, err := op.vec.WriteTo(cn.nc)
+		op.voff += int(n)
+		canceled, timedOut = op.loadFlags()
+		switch {
+		case canceled || !isTimeout(err):
+			return canceled, err
+		case len(op.vec) == 0:
+			return false, nil
+		case timedOut:
+			return false, errOpTimeout
+		}
+		// A stale kick from a finished op: carry on.
 	}
+}
+
+func (op *ioOp) runAccept() {
+	ln := op.ln
+	clear := func(time.Time) error { return nil }
+	if dl, ok := ln.nl.(deadliner); ok {
+		clear = dl.SetDeadline
+	}
+	var nc net.Conn
+	var err error
+	var canceled bool
+	ln.acTurn.Lock()
+	for {
+		if canceled, _ = op.startAttempt(clear); canceled {
+			err = errOpCanceled
+			break
+		}
+		nc, err = ln.nl.Accept()
+		if canceled, _ = op.loadFlags(); canceled || nc != nil || !isTimeout(err) {
+			break
+		}
+		// A stale kick from a finished accept: carry on.
+	}
+	ln.acTurn.Unlock()
 	if nc != nil {
+		// Under a cancel the conn goes through deliverResult's abandoned
+		// handoff (closed by whichever side saw it last): nothing leaks.
 		op.deliverResult(nc)
 		err = nil
 	}
-	if canceled, _ := op.loadFlags(); canceled {
-		// Kicked: the abort owns the wake; an accepted conn was already
-		// routed through deliverResult's abandoned handoff (closed by
-		// whichever side saw it last), so nothing leaks.
-		op.discardLocked(err)
-		return attemptDone
-	}
-	op.completeLocked(0, err)
-	return attemptDone
+	op.finish(0, err, canceled)
 }
 
-// parkOrRotate routes a genuinely not-ready op: to the backend when the
-// socket exposes a raw fd, back to the queue otherwise.
-func parkOrRotate(rc parkable) attemptOutcome {
-	if rc == nil {
-		return attemptRotate
-	}
-	return attemptPark
-}
-
-func (op *ioOp) runDial(d *dispatcher) {
-	// Runs on its own goroutine (see enqueue), never a pooled bridge:
-	// DialContext holds the goroutine until the connection (or
-	// cancellation via the context) resolves, with no rotation slice.
+func (op *ioOp) runDial() {
+	// DialContext holds the waiter until the connection (or cancellation
+	// via the context) resolves.
 	ctx, cancel := context.WithCancel(context.Background())
 	op.mu.Lock()
 	if op.canceled {
 		op.mu.Unlock()
 		cancel()
-		op.discardLocked(errOpCanceled)
+		op.finish(0, errOpCanceled, true)
 		return
 	}
 	op.ctxCancel = cancel
@@ -860,14 +590,8 @@ func (op *ioOp) runDial(d *dispatcher) {
 		op.deliverResult(nc)
 		err = nil
 	}
-	op.mu.Lock()
-	canceled := op.canceled
-	op.mu.Unlock()
-	if canceled {
-		op.discardLocked(err)
-		return
-	}
-	op.completeLocked(0, err)
+	canceled, _ := op.loadFlags()
+	op.finish(0, err, canceled)
 }
 
 // deliverResult hands an accepted/dialed connection toward the awaiting

@@ -8,8 +8,9 @@
 //
 // The machinery is runtime.AwaitExternalOp underneath: an operation
 // suspends through the same epoch-claimed waiter protocol as Latency and
-// channel waits, a dispatcher bridge performs the syscall, and the
-// completion re-injects the task through its deque's bulk resumed path —
+// channel waits, a waiter goroutine parks in the Go netpoller on the
+// task's behalf (see dispatch.go), and its completion re-injects the
+// task through its deque's bulk resumed path —
 // completions sharing a drain enter the deque as one pfor-tree node.
 // Scope cancellation (WithCancel/WithDeadline, the watchdog, a panic
 // elsewhere) interrupts pending socket calls promptly by kicking their
@@ -18,7 +19,7 @@
 //
 // The data plane is built not to copy and not to allocate: ReadBuf
 // reads into reference-counted pooled buffers (internal/bufpool) that
-// move between readiness, task, and the conn's cancel-window stash by
+// move between waiter, task, and the conn's cancel-window stash by
 // pointer; QueueWrite/Flush (and Writev) coalesce pipelined responses
 // into one vectored writev syscall; per-op deadlines (SetOpTimeout) are
 // O(1) entries on the run's shared timer wheel. See DESIGN.md §13.
@@ -38,17 +39,11 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"lhws/internal/bufpool"
 	"lhws/internal/runtime"
 )
-
-// parkable is the raw-syscall view of a socket, used by epoll builds to
-// register readiness interest; nil when the underlying conn does not
-// expose one (rotation still works without it).
-type parkable = syscall.RawConn
 
 // Conn is a socket whose operations suspend the calling task instead of
 // blocking its worker. Create one with Dial, Listener.Accept, or Wrap.
@@ -56,7 +51,13 @@ type parkable = syscall.RawConn
 type Conn struct {
 	d  *dispatcher
 	nc net.Conn
-	sc parkable
+
+	// rdTurn / wrTurn serialize the waiters of one direction: a waiter
+	// holds its turn from clearing the deadline until its socket call has
+	// returned (reads: until the bytes are settled), so a canceled op's
+	// successor can neither erase its predecessor's kick nor overtake its
+	// salvaged bytes. See dispatch.go.
+	rdTurn, wrTurn sync.Mutex
 
 	// opTimeout, when set, arms a timer-wheel deadline on each
 	// subsequent read/write op (see SetOpTimeout).
@@ -68,20 +69,16 @@ type Conn struct {
 	// suspended in Flush, never both.
 	wq net.Buffers
 
-	// opMu guards the in-flight op registrations. Close uses them to
-	// unpark operations waiting on the readiness backend: closing an fd
-	// silently removes it from an epoll set, so a parked op would
-	// otherwise never fire (rotation attempts discover the close on
-	// their own; parked ones must be routed back to a bridge).
+	// rdOp is the in-flight read, registered so a late stash entry can
+	// kick it (stashUnreadBuf); opMu guards it.
 	opMu sync.Mutex
 	rdOp *ioOp
-	wrOp *ioOp
 
 	// pendMu guards the unread stash: pooled buffers holding bytes a
 	// canceled read's in-flight attempt consumed off the socket after
 	// its completion claim was already lost to the abort. Dropping them
 	// would desynchronize the stream — the conn's next read would wait
-	// forever for bytes that can never arrive again — so the bridge
+	// forever for bytes that can never arrive again — so the waiter
 	// stashes them here and the next read drains the stash before
 	// touching the socket. Pooled reads MOVE their buffer in and out
 	// (the handoff is a reference transfer, no copy); the unpooled Read
@@ -92,25 +89,19 @@ type Conn struct {
 	pendOff int
 }
 
-// setOp / clearOp maintain the Close-visibility registration around an
-// op's lifetime: set task-side before Arm, cleared by the completing
-// bridge.
-func (cn *Conn) setOp(dir opKind, op *ioOp) {
+// setRead / clearRead maintain the stash-kick registration around a
+// read's lifetime: set task-side before Arm, cleared by the completing
+// waiter.
+func (cn *Conn) setRead(op *ioOp) {
 	cn.opMu.Lock()
-	if dir == opRead {
-		cn.rdOp = op
-	} else {
-		cn.wrOp = op
-	}
+	cn.rdOp = op
 	cn.opMu.Unlock()
 }
 
-func (cn *Conn) clearOp(dir opKind, op *ioOp) {
+func (cn *Conn) clearRead(op *ioOp) {
 	cn.opMu.Lock()
-	if dir == opRead && cn.rdOp == op {
+	if cn.rdOp == op {
 		cn.rdOp = nil
-	} else if (dir == opWrite || dir == opWritev) && cn.wrOp == op {
-		cn.wrOp = nil
 	}
 	cn.opMu.Unlock()
 }
@@ -176,27 +167,34 @@ func (cn *Conn) popPendingLocked() {
 	cn.pendOff = 0
 }
 
-// takePendingBuf pops the stash's head buffer whole — the zero-copy
-// fast path of ReadBuf. A partially-drained head (a smaller
-// byte-oriented Read got there first) is compacted into a fresh pooled
-// buffer; the common case hands the stashed buffer over untouched.
-func (cn *Conn) takePendingBuf() *bufpool.Buf {
+// takePendingBuf hands over up to max bytes of the stash's head as one
+// buffer — the zero-copy fast path of ReadBuf. A whole head that fits
+// moves by pointer; a head longer than max, or one a smaller
+// byte-oriented Read already drained part of, is copied out into a
+// fresh pooled buffer and the stash keeps what is left.
+func (cn *Conn) takePendingBuf(max int) *bufpool.Buf {
 	cn.pendMu.Lock()
+	defer cn.pendMu.Unlock()
 	if len(cn.pending) == 0 {
-		cn.pendMu.Unlock()
 		return nil
 	}
 	pb := cn.pending[0]
-	if cn.pendOff > 0 {
-		rem := pb.Bytes()[cn.pendOff:]
-		npb := bufpool.Get(len(rem))
-		copy(npb.Bytes(), rem)
-		pb.Release()
-		pb = npb
+	if cn.pendOff == 0 && pb.Len() <= max {
+		cn.popPendingLocked()
+		return pb
 	}
-	cn.popPendingLocked()
-	cn.pendMu.Unlock()
-	return pb
+	rem := pb.Bytes()[cn.pendOff:]
+	if len(rem) > max {
+		rem = rem[:max]
+	}
+	npb := bufpool.Get(len(rem))
+	copy(npb.Bytes(), rem)
+	cn.pendOff += len(rem)
+	if cn.pendOff == pb.Len() {
+		cn.popPendingLocked()
+		pb.Release()
+	}
+	return npb
 }
 
 func (cn *Conn) hasPending() bool {
@@ -222,26 +220,15 @@ func (cn *Conn) drainPending() {
 }
 
 // Wrap adopts an existing net.Conn into the task runtime. The conn must
-// support deadlines (every *net.TCPConn, *net.UnixConn, ... does):
-// rotation slices and the cancellation kick are both deadline sets, so a
-// conn whose SetDeadline fails could hold a bridge forever and hang the
-// run's shutdown. Wrap probes for that up front and rejects such conns
+// support deadlines (every *net.TCPConn, *net.UnixConn, ... does): the
+// cancellation kick is a deadline set, so a conn whose SetDeadline fails
+// could hold its waiter forever and hang the run's shutdown. Wrap probes for that up front and rejects such conns
 // instead of relying on the caller to know.
 func Wrap(c *runtime.Ctx, nc net.Conn) (*Conn, error) {
 	if err := nc.SetDeadline(time.Time{}); err != nil {
 		return nil, fmt.Errorf("lhws/io: conn %T does not support deadlines: %w", nc, err)
 	}
-	return wrapConn(dispFor(c), nc), nil
-}
-
-func wrapConn(d *dispatcher, nc net.Conn) *Conn {
-	cn := &Conn{d: d, nc: nc}
-	if s, ok := nc.(syscall.Conn); ok {
-		if rc, err := s.SyscallConn(); err == nil {
-			cn.sc = rc
-		}
-	}
-	return cn
+	return &Conn{d: dispFor(c), nc: nc}, nil
 }
 
 // SetOpTimeout sets a per-operation deadline applied to every
@@ -260,16 +247,17 @@ func (cn *Conn) SetOpTimeout(d time.Duration) {
 }
 
 // armOpDeadline arms the conn's per-op deadline on op, if one is set.
-// Runs task-side before AwaitExternalOp, under op.mu so the wheel
-// callback's identity check (op.dl) is race-free against completion.
+// Runs task-side before AwaitExternalOp. The timer is armed and stored
+// under op.mu, which the wheel callback takes first: a fire that beats
+// the store would otherwise fail the callback's identity check (op.dl)
+// and the timeout would be lost.
 func (cn *Conn) armOpDeadline(op *ioOp) {
 	d := time.Duration(cn.opTimeout.Load())
 	if d <= 0 {
 		return
 	}
-	t := cn.d.wheel.AfterFuncT(d, opDeadlineFired, op)
 	op.mu.Lock()
-	op.dl = t
+	op.dl = cn.d.wheel.AfterFuncT(d, opDeadlineFired, op)
 	op.mu.Unlock()
 }
 
@@ -285,25 +273,25 @@ func (cn *Conn) Read(c *runtime.Ctx, p []byte) (int, error) {
 	op.kind = opRead
 	op.cn = cn
 	op.buf = p
-	cn.setOp(opRead, op)
+	cn.setRead(op)
 	cn.armOpDeadline(op)
 	return c.AwaitExternalOp("io-read", runtime.KindFD, op)
 }
 
 // ReadBuf is Read without the copy or the allocation: it reads up to
 // max bytes into a buffer from the size-classed pool and hands the
-// buffer itself to the task — the same backing array the bridge's
+// buffer itself to the task — the same backing array the waiter's
 // syscall filled, sized to its class, with Len set to the bytes read.
 // The caller owns the returned buffer's reference and must Release it
 // (or pass ownership on, e.g. by queueing its bytes for write and
 // releasing after Flush). On error the buffer is never returned. Bytes
-// stashed by a canceled predecessor are handed over as a whole buffer,
-// zero-copy.
+// stashed by a canceled predecessor are handed over first — a stashed
+// buffer of at most max bytes whole, zero-copy.
 func (cn *Conn) ReadBuf(c *runtime.Ctx, max int) (*bufpool.Buf, error) {
 	if max <= 0 {
 		max = 4 << 10
 	}
-	if pb := cn.takePendingBuf(); pb != nil {
+	if pb := cn.takePendingBuf(max); pb != nil {
 		return pb, nil
 	}
 	pb := bufpool.Get(max)
@@ -312,7 +300,7 @@ func (cn *Conn) ReadBuf(c *runtime.Ctx, max int) (*bufpool.Buf, error) {
 	op.cn = cn
 	op.pb = pb
 	op.buf = pb.Bytes()
-	cn.setOp(opRead, op)
+	cn.setRead(op)
 	cn.armOpDeadline(op)
 	n, err := c.AwaitExternalOp("io-read", runtime.KindFD, op)
 	// A normal return means the completion claim was won, which
@@ -327,24 +315,24 @@ func (cn *Conn) ReadBuf(c *runtime.Ctx, max int) (*bufpool.Buf, error) {
 	return pb, err
 }
 
-// Write writes all of p, suspending the task across partial writes.
+// Write writes all of p, suspending the task across partial writes. It
+// is Writev over a one-element vector that lives inside the pooled op.
 func (cn *Conn) Write(c *runtime.Ctx, p []byte) (int, error) {
+	if len(p) == 0 {
+		return 0, nil
+	}
 	op := cn.d.getOp()
-	op.kind = opWrite
-	op.cn = cn
-	op.buf = p
-	cn.setOp(opWrite, op)
-	cn.armOpDeadline(op)
-	return c.AwaitExternalOp("io-write", runtime.KindFD, op)
+	op.one[0] = p
+	return cn.writev(c, op, "io-write", op.one[:])
 }
 
 // Writev writes every buffer in bufs as one vectored operation: the
-// bridge issues writev (net.Buffers.WriteTo), so N pipelined response
+// waiter issues writev (net.Buffers.WriteTo), so N pipelined response
 // fragments cost one syscall instead of N. bufs is consumed — its
 // elements are nil'ed and resliced as prefixes complete, exactly like
 // net.Buffers — so the caller must not reuse it without rebuilding.
-// Returns the total bytes written; partial progress across deadline
-// slices is retried until the vector drains, as with Write.
+// Returns the total bytes written; the task stays suspended across
+// partial writes until the vector drains, as with Write.
 func (cn *Conn) Writev(c *runtime.Ctx, bufs net.Buffers) (int, error) {
 	total := 0
 	for _, b := range bufs {
@@ -353,13 +341,15 @@ func (cn *Conn) Writev(c *runtime.Ctx, bufs net.Buffers) (int, error) {
 	if total == 0 {
 		return 0, nil
 	}
-	op := cn.d.getOp()
+	return cn.writev(c, cn.d.getOp(), "io-writev", bufs)
+}
+
+func (cn *Conn) writev(c *runtime.Ctx, op *ioOp, site string, bufs net.Buffers) (int, error) {
 	op.kind = opWritev
 	op.cn = cn
 	op.vec = bufs
-	cn.setOp(opWritev, op)
 	cn.armOpDeadline(op)
-	return c.AwaitExternalOp("io-writev", runtime.KindFD, op)
+	return c.AwaitExternalOp(site, runtime.KindFD, op)
 }
 
 // QueueWrite appends p to the conn's write queue without suspending or
@@ -405,27 +395,12 @@ func (cn *Conn) Flush(c *runtime.Ctx) (int, error) {
 func (cn *Conn) NetConn() net.Conn { return cn.nc }
 
 // Close closes the socket. Non-suspending; pending operations complete
-// with the socket's close error. Operations parked on the readiness
-// backend are routed back to a bridge (the closed fd would never fire),
-// and stashed unread buffers go back to the pool.
+// with the socket's close error (closing unblocks their waiters), and
+// stashed unread buffers go back to the pool.
 func (cn *Conn) Close() error {
 	err := cn.nc.Close()
-	cn.opMu.Lock()
-	rd, wr := cn.rdOp, cn.wrOp
-	cn.opMu.Unlock()
-	unparkForClose(cn.d, rd)
-	unparkForClose(cn.d, wr)
 	cn.drainPending()
 	return err
-}
-
-// unparkForClose reroutes an op parked in the backend back to the
-// bridge queue so it can observe the close. The CAS races the backend
-// and cancellation; exactly one party re-enqueues.
-func unparkForClose(d *dispatcher, op *ioOp) {
-	if op != nil && op.parked.CompareAndSwap(true, false) {
-		d.enqueue(op)
-	}
 }
 
 // Gate is an admission valve a Listener consults before pulling a
@@ -443,11 +418,12 @@ type Gate interface {
 type Listener struct {
 	d  *dispatcher
 	nl net.Listener
-	sc parkable
 
-	opMu sync.Mutex
-	acOp *ioOp
-	gate Gate
+	// acTurn serializes accept waiters like Conn.rdTurn does reads.
+	acTurn sync.Mutex
+
+	gateMu sync.Mutex
+	gate   Gate
 }
 
 // Listen opens a listening socket (e.g. "tcp", "127.0.0.1:0"). The bind
@@ -457,22 +433,16 @@ func Listen(c *runtime.Ctx, network, addr string) (*Listener, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Listener{d: dispFor(c), nl: nl}
-	if s, ok := nl.(syscall.Conn); ok {
-		if rc, serr := s.SyscallConn(); serr == nil {
-			l.sc = rc
-		}
-	}
-	return l, nil
+	return &Listener{d: dispFor(c), nl: nl}, nil
 }
 
 // SetGate installs an admission gate consulted by every subsequent
 // Accept. Install it before the accept loop starts; a nil gate (the
 // default) admits unconditionally.
 func (l *Listener) SetGate(g Gate) {
-	l.opMu.Lock()
+	l.gateMu.Lock()
 	l.gate = g
-	l.opMu.Unlock()
+	l.gateMu.Unlock()
 }
 
 // Accept suspends the task until a connection arrives and returns it
@@ -483,18 +453,15 @@ func (l *Listener) SetGate(g Gate) {
 // the gate's typed error (e.g. admit.ErrDraining) when intake is
 // closed.
 func (l *Listener) Accept(c *runtime.Ctx) (*Conn, error) {
-	l.opMu.Lock()
+	l.gateMu.Lock()
 	g := l.gate
-	l.opMu.Unlock()
+	l.gateMu.Unlock()
 	if g != nil {
 		if err := g.AcquireAccept(c); err != nil {
 			return nil, err
 		}
 	}
 	op := &ioOp{kind: opAccept, ln: l}
-	l.opMu.Lock()
-	l.acOp = op
-	l.opMu.Unlock()
 	if _, err := c.AwaitExternalOp("io-accept", runtime.KindFD, op); err != nil {
 		return nil, err
 	}
@@ -504,15 +471,7 @@ func (l *Listener) Accept(c *runtime.Ctx) (*Conn, error) {
 		// scope is canceled, so the very next scheduling point unwinds.
 		return nil, errOpCanceled
 	}
-	return wrapConn(l.d, nc), nil
-}
-
-func (l *Listener) clearAccept(op *ioOp) {
-	l.opMu.Lock()
-	if l.acOp == op {
-		l.acOp = nil
-	}
-	l.opMu.Unlock()
+	return &Conn{d: l.d, nc: nc}, nil
 }
 
 // Addr returns the listener's address (useful with port 0).
@@ -520,14 +479,7 @@ func (l *Listener) Addr() net.Addr { return l.nl.Addr() }
 
 // Close stops the listener; a pending Accept completes with the close
 // error. Non-suspending.
-func (l *Listener) Close() error {
-	err := l.nl.Close()
-	l.opMu.Lock()
-	op := l.acOp
-	l.opMu.Unlock()
-	unparkForClose(l.d, op)
-	return err
-}
+func (l *Listener) Close() error { return l.nl.Close() }
 
 // Dial connects to addr, suspending the task for the duration of the
 // connection handshake.
@@ -541,21 +493,21 @@ func Dial(c *runtime.Ctx, network, addr string) (*Conn, error) {
 	if nc == nil {
 		return nil, errOpCanceled
 	}
-	return wrapConn(d, nc), nil
+	return &Conn{d: d, nc: nc}, nil
 }
 
-// PeakBridges reports the high-water count of bridge goroutines this
-// run's dispatcher spawned — the benchmark's O(P)-not-O(C) gate reads
-// it. Zero if the run performed no I/O.
+// PeakBridges reports the high-water count of live waiter goroutines in
+// this run's dispatcher — about one per simultaneously pending socket
+// operation. Zero if the run performed no I/O. (The name predates the
+// waiters; the repo benchmark records it as io.peak_bridges.)
 func PeakBridges(c *runtime.Ctx) int {
-	return dispFor(c).peakBridges()
+	return dispFor(c).peakWaiters()
 }
 
-// BackendName reports which readiness backend this run's dispatcher
-// selected: "rotate" (portable) or "epoll" (-tags lhwsepoll on Linux).
-func BackendName(c *runtime.Ctx) string {
-	return dispFor(c).backendName()
-}
+// BackendName reports how pending operations wait for readiness. There
+// is one mechanism — a goroutine parked in the Go netpoller — so it is a
+// constant; benchmark records carry it.
+func BackendName(c *runtime.Ctx) string { return "netpoll" }
 
 // ErrOpCanceled is exported for tests that need to distinguish the
 // canceled-result sentinel; user code normally never sees it (the task

@@ -11,7 +11,7 @@ import (
 	"lhws/internal/runtime"
 )
 
-// TestMain raises GOMAXPROCS as the runtime package's tests do: bridges,
+// TestMain raises GOMAXPROCS as the runtime package's tests do: waiters,
 // peers, and workers must genuinely interleave on single-core hosts.
 func TestMain(m *testing.M) {
 	if goruntime.GOMAXPROCS(0) < 4 {
@@ -155,61 +155,6 @@ func TestEchoBlockingMode(t *testing.T) {
 	}
 }
 
-// TestBridgePoolBounded pins the O(P)-not-O(C) property: 32 connections
-// with pending reads must share the dispatcher's capped bridge pool, not
-// take a goroutine each.
-func TestBridgePoolBounded(t *testing.T) {
-	const conns = 32
-	var peak, cap_ int
-	_, err := runtime.Run(runtime.Config{Workers: 2, Mode: runtime.LatencyHiding, Deadline: 60 * time.Second},
-		func(c *runtime.Ctx) {
-			l, err := Listen(c, "tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Errorf("listen: %v", err)
-				return
-			}
-			srv := c.Spawn(func(cc *runtime.Ctx) { echoServe(cc, l, 1) })
-			futs := make([]*runtime.Future, conns)
-			for i := range futs {
-				futs[i] = c.Spawn(func(cc *runtime.Ctx) {
-					cn, err := Dial(cc, "tcp", l.Addr().String())
-					if err != nil {
-						t.Errorf("dial: %v", err)
-						return
-					}
-					defer cn.Close()
-					// Stagger so all reads are pending simultaneously before
-					// any byte is echoed back.
-					cc.Latency(5 * time.Millisecond)
-					if _, err := cn.Write(cc, []byte{1}); err != nil {
-						t.Errorf("write: %v", err)
-						return
-					}
-					one := make([]byte, 1)
-					if err := readFull(cc, cn, one); err != nil {
-						t.Errorf("read: %v", err)
-					}
-				})
-			}
-			for _, f := range futs {
-				f.Await(c)
-			}
-			l.Close()
-			srv.Await(c)
-			d := dispFor(c)
-			peak, cap_ = d.peakBridges(), d.cap
-		})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if peak > cap_ {
-		t.Fatalf("bridge peak %d exceeds cap %d", peak, cap_)
-	}
-	if cap_ >= conns {
-		t.Fatalf("bridge cap %d not O(P) for %d conns (test misconfigured)", cap_, conns)
-	}
-}
-
 // TestDialError: a dial to a dead port must surface the OS error, not
 // hang or panic.
 func TestDialError(t *testing.T) {
@@ -233,7 +178,7 @@ func TestDialError(t *testing.T) {
 }
 
 // TestNoGoroutineLeak: the dispatcher's close is synchronous, so every
-// bridge (and the epoll poller, when enabled) is gone when Run returns.
+// waiter goroutine is gone when Run returns.
 func TestNoGoroutineLeak(t *testing.T) {
 	base := goruntime.NumGoroutine()
 	for i := 0; i < 3; i++ {

@@ -300,7 +300,7 @@ func Run(cfg Config, root func(*Ctx)) (*Stats, error) {
 	// The run has drained: release every parked pooled task goroutine,
 	// quiesce the timer wheel (after Shutdown returns no timer callback —
 	// including the root deadline — can fire), and close run-scoped
-	// auxiliaries (the I/O dispatcher's bridge pool, if one was created).
+	// auxiliaries (the I/O dispatcher and its waiters, if one was created).
 	close(rt.poolStop)
 	close(watchStop)
 	rt.wheel.Shutdown()
