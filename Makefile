@@ -37,10 +37,11 @@ lint:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # chaos runs the fault-injection suite under the race detector: every
-# scheduler fault point (failed steals, dropped/delayed/duplicated
-# wakeups, injected panics) at seeded rates, replayed over three fixed
-# seeds baked into the tests. Runs must produce correct results or typed
-# errors with watchdog diagnostics — never hang (see DESIGN.md §7).
+# scheduler fault point (failed steals, dropped/delayed/duplicated task
+# wakeups and worker wakes, injected panics) at seeded rates, replayed
+# over the fixed seeds baked into the tests. Runs must produce correct
+# results or typed errors with watchdog diagnostics — never hang (see
+# DESIGN.md §7).
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos' -v ./internal/runtime/ ./internal/io/
 

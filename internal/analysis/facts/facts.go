@@ -137,7 +137,10 @@ func MayBlockLeaf(fn *types.Func) (string, bool) {
 // Call sites (and syntactic operations) carrying a justified
 // //lhws:allowblock directive do not propagate: the justification
 // asserts the block is acceptable where it happens, so callers are not
-// tainted by it.
+// tainted by it. Calls to a function marked //lhws:parks (with its
+// condition stated) do not propagate either: that function is the
+// scheduler's one sanctioned park, vouched for at its declaration rather
+// than at each call.
 func MayBlock(p *analysis.Program) *analysis.FactSet {
 	return p.Facts(analysis.FactDef{
 		Name:     "mayBlock",
@@ -148,7 +151,17 @@ func MayBlock(p *analysis.Program) *analysis.FactSet {
 }
 
 func skipAllowblock(p *analysis.Program, n *analysis.FuncNode, cs *analysis.CallSite) bool {
+	if Parks(p, cs.Callee) {
+		return true
+	}
 	d, ok := p.DirectiveAt(cs.Pos, "allowblock")
+	return ok && d.Args != ""
+}
+
+// Parks reports whether fn is declared the scheduler's sanctioned park: a
+// function-level //lhws:parks directive that states its condition.
+func Parks(p *analysis.Program, fn *types.Func) bool {
+	d, ok := p.FuncDirective(fn, "parks")
 	return ok && d.Args != ""
 }
 

@@ -38,11 +38,19 @@
 // helper one package away was invisible.
 //
 // Individual operations that are blocking by design — a bounded leaf
-// critical section, the task-grant handoff, deliberate backoff — are
-// acknowledged with a statement-level //lhws:allowblock directive whose
-// argument must state the justification. Justified escapes also stop
-// the summary propagation: a blocking operation acknowledged where it
-// happens does not taint the functions above it.
+// critical section, the task-grant handoff — are acknowledged with a
+// statement-level //lhws:allowblock directive whose argument must state
+// the justification. Justified escapes also stop the summary
+// propagation: a blocking operation acknowledged where it happens does
+// not taint the functions above it.
+//
+// One function may park on purpose: the worker's idle wait, which blocks
+// only once nothing is runnable, resumable or stealable. It declares
+// itself with a function-level //lhws:parks directive whose argument
+// states that condition. Such a function may be called from a
+// nonblocking one, its body is not checked, and it does not taint its
+// callers' may-block summaries. A //lhws:parks without the condition is
+// reported and not honoured.
 //
 // Independently of the directive, the analyzer checks task code: any
 // function or closure that takes a *runtime.Ctx parameter runs on a
@@ -75,19 +83,33 @@ var Analyzer = &analysis.Analyzer{
 
 func run(pass *analysis.Pass) error {
 	checkTaskNet(pass)
-	// Which same-package functions are declared nonblocking? (For other
-	// packages the Program answers; for a nil Prog only same-package
-	// annotations are visible, matching the old behaviour.)
-	nonblocking := make(map[types.Object]bool)
+	// Which same-package functions are vouched for at their declaration —
+	// declared nonblocking, or the sanctioned park? (For other packages the
+	// Program answers; for a nil Prog only same-package annotations are
+	// visible, matching the old behaviour.)
+	vouched := make(map[types.Object]bool)
+	var hot []*ast.FuncDecl
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok {
 				continue
 			}
+			obj := pass.TypesInfo.Defs[fd.Name]
+			if obj == nil {
+				continue
+			}
 			if _, ok := analysis.FuncDirective(fd, "nonblocking"); ok {
-				if obj := pass.TypesInfo.Defs[fd.Name]; obj != nil {
-					nonblocking[obj] = true
+				vouched[obj] = true
+				if fd.Body != nil {
+					hot = append(hot, fd)
+				}
+			}
+			if d, ok := analysis.FuncDirective(fd, "parks"); ok {
+				if d.Args == "" {
+					pass.Reportf(d.Pos, "%sparks directive needs the condition under which the function parks", analysis.DirectivePrefix)
+				} else {
+					vouched[obj] = true
 				}
 			}
 		}
@@ -98,16 +120,8 @@ func run(pass *analysis.Pass) error {
 	} else {
 		mayBlock = facts.MayBlockLeaf
 	}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if obj := pass.TypesInfo.Defs[fd.Name]; obj != nil && nonblocking[obj] {
-				check(pass, fd, nonblocking, mayBlock)
-			}
-		}
+	for _, fd := range hot {
+		check(pass, fd, vouched, mayBlock)
 	}
 	return nil
 }
@@ -195,7 +209,7 @@ func hasCtxParam(pass *analysis.Pass, ft *ast.FuncType) bool {
 	return false
 }
 
-func check(pass *analysis.Pass, fd *ast.FuncDecl, nonblocking map[types.Object]bool, mayBlock func(*types.Func) (string, bool)) {
+func check(pass *analysis.Pass, fd *ast.FuncDecl, vouched map[types.Object]bool, mayBlock func(*types.Func) (string, bool)) {
 	// The send/receive in a select's comm clauses is accounted for by the
 	// select itself (blocking iff there is no default case).
 	commOps := facts.SelectCommOps(fd.Body)
@@ -236,13 +250,13 @@ func check(pass *analysis.Pass, fd *ast.FuncDecl, nonblocking map[types.Object]b
 				report(pass, n.Pos(), "select without default blocks the worker loop")
 			}
 		case *ast.CallExpr:
-			checkCall(pass, n, nonblocking, mayBlock)
+			checkCall(pass, n, vouched, mayBlock)
 		}
 		return true
 	})
 }
 
-func checkCall(pass *analysis.Pass, call *ast.CallExpr, nonblocking map[types.Object]bool, mayBlock func(*types.Func) (string, bool)) {
+func checkCall(pass *analysis.Pass, call *ast.CallExpr, vouched map[types.Object]bool, mayBlock func(*types.Func) (string, bool)) {
 	fn := analysis.Callee(pass.TypesInfo, call)
 	if fn == nil {
 		// Conversion, builtin, or a call of a function value. The first
@@ -258,11 +272,11 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr, nonblocking map[types.Ob
 	}
 	// A callee marked //lhws:nonblocking is checked where it is
 	// defined; re-flagging its call sites would report each violation
-	// many times.
-	if nonblocking[fn.Origin()] {
+	// many times. The //lhws:parks function is vouched for whole.
+	if vouched[fn.Origin()] {
 		return
 	}
-	if pass.Prog != nil && pass.Prog.FuncMarked(fn, "nonblocking") {
+	if pass.Prog != nil && (pass.Prog.FuncMarked(fn, "nonblocking") || facts.Parks(pass.Prog, fn)) {
 		return
 	}
 	if desc, ok := mayBlock(fn); ok {

@@ -55,6 +55,17 @@ func chaosHot(inj *faultpoint.Injector) {
 	inj.Inject(faultpoint.Suspend) // want `sleeps or panics by design`
 }
 
+// undeclaredPark shows a //lhws:parks that does not state its condition
+// is itself reported and buys nothing: the call is flagged as before.
+//
+//lhws:nonblocking
+func undeclaredPark(ch chan int) {
+	barePark(ch) // want `call may block the worker: a\.barePark`
+}
+
+//lhws:parks // want `parks directive needs the condition`
+func barePark(ch chan int) { <-ch }
+
 // helper is provably non-blocking; no annotation needed.
 func helper() {}
 

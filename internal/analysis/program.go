@@ -221,12 +221,18 @@ func (p *Program) DirectiveAt(pos token.Pos, name string) (Directive, bool) {
 // FuncMarked reports whether fn's declaration carries the named
 // function-level directive (in any loaded package).
 func (p *Program) FuncMarked(fn *types.Func, name string) bool {
+	_, ok := p.FuncDirective(fn, name)
+	return ok
+}
+
+// FuncDirective returns the named function-level directive on fn's
+// declaration (in any loaded package).
+func (p *Program) FuncDirective(fn *types.Func, name string) (Directive, bool) {
 	n := p.FuncNode(fn)
 	if n == nil {
-		return false
+		return Directive{}, false
 	}
-	_, ok := FuncDirective(n.Decl, name)
-	return ok
+	return FuncDirective(n.Decl, name)
 }
 
 // A FactDef defines one propagated function fact. Facts are boolean

@@ -57,6 +57,12 @@ const (
 	// actions as ResumeInject. Exercises the path where wakeups originate
 	// outside the scheduler entirely.
 	PollComplete
+	// WorkerWake is the wake of a parked worker (the owner of a deque
+	// whose resumed set just became non-empty, or one idle worker when
+	// stealable work is published); same actions as ResumeInject. A lost
+	// worker wake strands work only a sleeping worker can reach, so Drop
+	// must surface as a watchdog stall, never a hang.
+	WorkerWake
 
 	numPoints
 )
@@ -75,6 +81,8 @@ func (p Point) String() string {
 		return "task-body"
 	case PollComplete:
 		return "poll-complete"
+	case WorkerWake:
+		return "worker-wake"
 	default:
 		return fmt.Sprintf("Point(%d)", int(p))
 	}

@@ -3,6 +3,7 @@ package runtime
 import (
 	goruntime "runtime"
 	"testing"
+	"time"
 )
 
 // Allocation-regression gates for the pooled hot paths. These are the
@@ -42,6 +43,13 @@ func TestAllocsSpawnAwaitSteadyState(t *testing.T) {
 // that resumes the parent — all on recycled objects. The child holds its
 // completion back until the parent has registered as the future's waiter,
 // which makes every measured round take the suspension path.
+//
+// Every round is also a full park → wake → steal cycle, twice over: the
+// parent spawns only once the other worker has parked, so the spawn's wake
+// is what brings the thief; and while the child runs, the parent's worker
+// has nothing and parks, so the completion's owner wake is what brings the
+// parent back. Blocking on the semaphore, the token and the re-check sweep
+// allocate nothing.
 func TestAllocsStolenChildAwaitSteadyState(t *testing.T) {
 	var fut *Future
 	var host *task
@@ -63,6 +71,11 @@ func TestAllocsStolenChildAwaitSteadyState(t *testing.T) {
 	st, err := Run(benchConfig(2), func(c *Ctx) {
 		host = c.t
 		round := func() {
+			// Until the other worker has parked — whichever that is now:
+			// the resumed parent is itself stealable.
+			for thief := c.t.rt.workers[1-c.t.w.id]; !thief.parked.Load(); {
+				goruntime.Gosched()
+			}
 			fut = c.t.w.acquireFuture() // published before the spawn makes the child stealable
 			c.spawn(stolenChild, fut)
 			for c.t.w.active.q.Len() > 0 { // until the other worker steals it
@@ -87,6 +100,37 @@ func TestAllocsStolenChildAwaitSteadyState(t *testing.T) {
 	}
 	if st.InlineJoins != 0 || st.Suspensions < 200 {
 		t.Errorf("InlineJoins=%d Suspensions=%d: the rounds did not take the suspension path", st.InlineJoins, st.Suspensions)
+	}
+	if st.Parks < 200 || st.WorkerWakes < 200 || st.Steals < 200 {
+		t.Errorf("Parks=%d WorkerWakes=%d Steals=%d: the rounds did not go through park, wake and steal", st.Parks, st.WorkerWakes, st.Steals)
+	}
+}
+
+// TestAllocsLoadSignalPendingResumes gates the admission path's load
+// sample at zero allocations while a resumed task is waiting for its
+// owner — the state in which the sample used to copy the registered
+// deques into a fresh slice (≈0.5 allocations per request on the serve
+// benchmark).
+func TestAllocsLoadSignalPendingResumes(t *testing.T) {
+	_, err := Run(benchConfig(1), func(c *Ctx) {
+		ch := NewChan[int](0)
+		child := c.Spawn(func(cc *Ctx) { ch.Recv(cc) })
+		c.Latency(time.Millisecond) // the one worker runs the child into its Recv meanwhile
+		ch.Send(c, 1)               // resumes the child; this worker has not drained it yet
+		if !c.t.w.resumedPending.Load() {
+			t.Error("no resumed task pending; the gate would measure nothing")
+		}
+		var ld Load
+		if avg := testing.AllocsPerRun(200, func() { ld = c.LoadSignal() }); avg != 0 {
+			t.Errorf("LoadSignal with a pending resume allocates %.2f objects/op, want 0", avg)
+		}
+		if ld.ReadyTasks != 1 {
+			t.Errorf("ReadyTasks = %d, want the one resumed task", ld.ReadyTasks)
+		}
+		child.Await(c)
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 }
 

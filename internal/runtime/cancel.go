@@ -167,6 +167,11 @@ func (s *cancelScope) cancel(err error) bool {
 	for _, k := range kids {
 		k.cancel(err)
 	}
+	if s.rt != nil && s == s.rt.root {
+		// Every abort above has published its task to a resumed set; a
+		// parked owner whose wake was lost must still come and run it.
+		s.rt.wakeAll()
+	}
 	return true
 }
 

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"errors"
+	goruntime "runtime"
 	"testing"
 	"time"
 
@@ -160,6 +161,72 @@ func TestChaosSuspendDelay(t *testing.T) {
 	}
 }
 
+// TestChaosWorkerWakeDelay delays 20% of worker wakes by 2ms — owner
+// wakes and idle-worker wakes alike: work sits beside a parked worker for
+// a while but no wake is lost, so the result must be exact and the
+// watchdog quiet (a deferred wake counts as pending progress).
+func TestChaosWorkerWakeDelay(t *testing.T) {
+	for _, seed := range chaosSeeds {
+		inj := faultpoint.New(seed).Set(faultpoint.WorkerWake, faultpoint.Rule{
+			Action: faultpoint.Delay, Rate: 0.20, Delay: 2 * time.Millisecond,
+		})
+		mustBeCorrect(t, seed, inj)
+		mustBeCorrectStorm(t, seed, inj)
+	}
+}
+
+// TestChaosWorkerWakeDup repeats 20% of worker wakes 1ms later. The repeat
+// finds the worker running (the claim fails, no token is sent) or parked
+// again (an ordinary spurious wake): either way no token may be left in a
+// worker's slot to satisfy a later park it was not sent for — unpark
+// panics if it ever finds the slot occupied.
+func TestChaosWorkerWakeDup(t *testing.T) {
+	for _, seed := range chaosSeeds {
+		inj := faultpoint.New(seed).Set(faultpoint.WorkerWake, faultpoint.Rule{
+			Action: faultpoint.Dup, Rate: 0.20, Delay: time.Millisecond,
+		})
+		mustBeCorrect(t, seed, inj)
+		mustBeCorrectStorm(t, seed, inj)
+	}
+}
+
+// A lost worker wake is a new way to hang, so it must fail loudly: with
+// every wake dropped, resumed tasks pile up on the deques of parked
+// owners, and the watchdog has to turn that into a *StallError that says
+// so — parked workers beside pending work — and then wake everyone so the
+// run drains without leaking a goroutine.
+func TestChaosWorkerWakeDropStalls(t *testing.T) {
+	base := goruntime.NumGoroutine()
+	for _, seed := range chaosSeeds {
+		inj := faultpoint.New(seed).Set(faultpoint.WorkerWake, faultpoint.Rule{
+			Action: faultpoint.Drop, Rate: 1,
+		})
+		cfg := chaosConfig(seed, inj)
+		start := time.Now()
+		_, err := Run(cfg, func(c *Ctx) {
+			futs := make([]*Future, 8)
+			for i := range futs {
+				futs[i] = c.Spawn(func(cc *Ctx) { cc.Latency(2 * time.Millisecond) })
+			}
+			for _, f := range futs {
+				f.Await(c)
+			}
+		})
+		var se *StallError
+		if !errors.As(err, &se) {
+			t.Fatalf("seed %d: Run err = %v, want *StallError (faults: %s)", seed, err, inj.Summary())
+		}
+		if se.ParkedWorkers != cfg.Workers || se.PendingResumed == 0 {
+			t.Errorf("seed %d: stall reports %d parked worker(s), %d resumed task(s) pending; want %d and > 0\n%v",
+				seed, se.ParkedWorkers, se.PendingResumed, cfg.Workers, se)
+		}
+		if el := time.Since(start); el > 4*cfg.StallTimeout {
+			t.Errorf("seed %d: stall surfaced after %v, want within a few StallTimeouts (%v)", seed, el, cfg.StallTimeout)
+		}
+	}
+	waitGoroutines(t, base+3)
+}
+
 // TestChaosResumeDrop loses 5% of resume injections: lost wakeups must
 // surface as a watchdog stall (or the run-wide deadline), never a hang.
 func TestChaosResumeDrop(t *testing.T) {
@@ -244,6 +311,22 @@ func chaosStormWorkload(c *Ctx) int {
 
 const chaosStormWant = (16 * 8) * (16*8 + 1) / 2
 
+// mustBeCorrectStorm is mustBeCorrect for the storm shape.
+func mustBeCorrectStorm(t *testing.T, seed uint64, inj *faultpoint.Injector) {
+	t.Helper()
+	var got int
+	st, err := Run(chaosConfig(seed, inj), func(c *Ctx) { got = chaosStormWorkload(c) })
+	if err != nil {
+		t.Fatalf("seed %d: Run: %v (faults: %s)", seed, err, inj.Summary())
+	}
+	if got != chaosStormWant {
+		t.Fatalf("seed %d: sum = %d, want %d (faults: %s)", seed, got, chaosStormWant, inj.Summary())
+	}
+	if st.Stalled {
+		t.Fatalf("seed %d: watchdog fired on a recoverable fault", seed)
+	}
+}
+
 // TestChaosStormResumeFaults runs the storm shape under delayed resume
 // injections plus duplicated channel wakeups: batches split and recycle
 // out of order, but no value may be lost or delivered twice.
@@ -252,17 +335,7 @@ func TestChaosStormResumeFaults(t *testing.T) {
 		inj := faultpoint.New(seed).
 			Set(faultpoint.ResumeInject, faultpoint.Rule{Action: faultpoint.Delay, Rate: 0.20, Delay: 2 * time.Millisecond}).
 			Set(faultpoint.ChanWakeup, faultpoint.Rule{Action: faultpoint.Dup, Rate: 0.20, Delay: time.Millisecond})
-		var got int
-		st, err := Run(chaosConfig(seed, inj), func(c *Ctx) { got = chaosStormWorkload(c) })
-		if err != nil {
-			t.Fatalf("seed %d: Run: %v (faults: %s)", seed, err, inj.Summary())
-		}
-		if got != chaosStormWant {
-			t.Fatalf("seed %d: sum = %d, want %d (faults: %s)", seed, got, chaosStormWant, inj.Summary())
-		}
-		if st.Stalled {
-			t.Fatalf("seed %d: watchdog fired on a recoverable fault", seed)
-		}
+		mustBeCorrectStorm(t, seed, inj)
 	}
 }
 

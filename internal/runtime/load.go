@@ -61,7 +61,11 @@ func (c *Ctx) LoadSignal() Load { return c.t.rt.loadSignal() }
 
 func (rt *runtimeState) loadSignal() Load {
 	var ld Load
-	var resumedDq []*rdeque
+	// Registered deques are few (one per deque whose resumed set is
+	// non-empty), so the copy normally stays in this stack buffer: the
+	// admission path samples once per request and must not allocate.
+	var buf [16]*rdeque
+	resumedDq := buf[:0]
 	for _, w := range rt.workers {
 		w.mu.Lock()
 		if a := w.active; a != nil {

@@ -93,6 +93,7 @@ func (w *worker) resolveItem(it deque.Item) *task {
 	b := nd.b
 	lo, hi := nd.lo, nd.hi
 	w.putNode(nd)
+	split := hi-lo > 1
 	for hi-lo > 1 {
 		mid := lo + (hi-lo)/2
 		left := w.getNode()
@@ -101,6 +102,9 @@ func (w *worker) resolveItem(it deque.Item) *task {
 		left.hi = mid
 		w.active.q.PushBottom(left)
 		lo = mid
+	}
+	if split {
+		w.rt.published()
 	}
 	t := b.tasks[lo]
 	b.tasks[lo] = nil

@@ -209,6 +209,8 @@ type Stats struct {
 	BatchItems         int64         // items transferred by successful steals (≥ Steals)
 	ResumeBatches      int64         // multi-task pfor-tree injections by drainResumed
 	ResumeBatchTasks   int64         // tasks re-injected inside those batches
+	Parks              int64         // times a worker with nothing runnable, resumable or stealable waited to be woken
+	WorkerWakes        int64         // wake tokens sent to parked workers
 	MaxDequesPerWorker int32         // high-water mark of live deques on one worker
 	TasksLate          int64         // tasks that completed after their scope's latency target
 	TargetCancels      int64         // subtrees shed by steal gating (ShedBlownTargets)
@@ -249,7 +251,7 @@ func Run(cfg Config, root func(*Ctx)) (*Stats, error) {
 	if cfg.MaxStealBatch < 0 {
 		return nil, fmt.Errorf("%w: MaxStealBatch must be >= 0, got %d", ErrConfig, cfg.MaxStealBatch)
 	}
-	rt := &runtimeState{cfg: cfg, done: make(chan struct{}), poolStop: make(chan struct{})}
+	rt := &runtimeState{cfg: cfg, poolStop: make(chan struct{})}
 	rt.trackSuspends = cfg.StallTimeout > 0
 	rt.maxSteal = cfg.MaxStealBatch
 	if rt.maxSteal == 0 {
@@ -340,6 +342,8 @@ func Run(cfg Config, root func(*Ctx)) (*Stats, error) {
 		st.BatchItems += s.batchItems.Load()
 		st.ResumeBatches += s.resumeBatches.Load()
 		st.ResumeBatchTasks += s.resumeBatchTasks.Load()
+		st.Parks += s.parks.Load()
+		st.WorkerWakes += s.wakes.Load()
 	}
 	return st, err
 }
@@ -372,8 +376,12 @@ type runtimeState struct {
 	shardCount int
 	maxSteal   int
 	stalled    atomic.Bool
-	done       chan struct{}
-	doneOnce   sync.Once
+	// nidle counts workers that have announced a park (worker.parked) and
+	// not been woken or withdrawn; nsearching counts workers looking for
+	// work — spinning through steal attempts, or woken to. Both belong to
+	// the park/wake handshake (see worker.idle and published).
+	nidle      atomic.Int32
+	nsearching atomic.Int32
 	stats      atomicStats
 	shards     []statShard // per-worker hot counters (see stats.go)
 	pools      runtimePools
@@ -491,24 +499,104 @@ type atomicStats struct {
 	MaxDeques     atomic.Int32
 }
 
-// taskDone decrements the live-task count and signals completion when it
-// reaches zero.
+// taskDone decrements the live-task count; the task that takes it to zero
+// ends the run, and wakes every parked worker so each sees finished.
 func (rt *runtimeState) taskDone() {
 	if rt.liveTasks.Add(-1) == 0 {
-		rt.doneOnce.Do(func() { close(rt.done) })
+		rt.wakeAll()
 	}
 }
 
-// finished polls the done channel; the default case keeps it
-// non-parking.
+// finished reports whether every task of the run has completed. The root
+// task is counted before any worker starts and a child before its parent
+// can finish, so zero is final.
 //
 //lhws:nonblocking
 func (rt *runtimeState) finished() bool {
-	select {
-	case <-rt.done:
-		return true
-	default:
-		return false
+	return rt.liveTasks.Load() == 0
+}
+
+// published is called after work other workers could take has been made
+// visible — a PushBottom by spawn, a resumed-set injection, a pfor split:
+// one shared load while nobody is parked.
+//
+//lhws:nonblocking
+func (rt *runtimeState) published() {
+	if rt.nidle.Load() != 0 {
+		rt.wakeOne()
+	}
+}
+
+// wakeOne wakes one parked worker to search for the work just published,
+// unless some worker is searching already: that one will find it, or will
+// re-check after leaving nsearching (idle), and the last searcher to find
+// work wakes the next (foundWork). The 0→1 CAS reserves the woken
+// worker's searching slot, so concurrent publishers wake one worker
+// between them — Go's wakep.
+//
+//lhws:nonblocking
+func (rt *runtimeState) wakeOne() {
+	if rt.nsearching.Load() != 0 || !rt.nsearching.CompareAndSwap(0, 1) {
+		return
+	}
+	for _, w := range rt.workers {
+		if w.parked.Load() && rt.wake(w, true) {
+			return
+		}
+	}
+	rt.nsearching.Add(-1)
+}
+
+// wake is the single worker-wake function of the run's normal paths: the
+// owner wake of noteResumedDeque and wakeOne both end here, and so does
+// the WorkerWake fault point — Drop loses the wake, Delay defers it, Dup
+// repeats it later. searching says the caller reserved a slot in
+// nsearching for w; wake reports whether that slot was handed on (to w,
+// or to a deferred wake that releases it if w turns out not to be
+// parked). Recovery paths use wakeAll, which the injector cannot touch.
+//
+//lhws:nonblocking
+func (rt *runtimeState) wake(w *worker, searching bool) bool {
+	if inj := rt.cfg.Faults; inj != nil {
+		switch act, d := inj.Decide(faultpoint.WorkerWake); act {
+		case faultpoint.Drop:
+			return false
+		case faultpoint.Delay:
+			rt.pendingWakes.Add(1)
+			go rt.wakeLater(w, searching, d)
+			return true
+		case faultpoint.Dup:
+			rt.pendingWakes.Add(1)
+			go rt.wakeLater(w, false, d)
+		}
+	}
+	return w.unpark(searching)
+}
+
+// wakeLater delivers a fault-deferred (or duplicated) wake after d. By
+// then w may be running, or parked again: the claim in unpark makes the
+// first a no-op and the second an ordinary spurious wake, so a late token
+// never lands in the slot of a park it was not sent for. It counts as a
+// pending wake meanwhile, so the watchdog does not read the delay as a
+// stall.
+func (rt *runtimeState) wakeLater(w *worker, searching bool, d time.Duration) {
+	time.Sleep(d)
+	rt.pendingWakes.Add(-1)
+	if !w.unpark(searching) && searching {
+		rt.nsearching.Add(-1)
+	}
+}
+
+// wakeAll wakes every parked worker: at the end of the run, and when the
+// root scope is canceled (deadline, fatal error, watchdog) — a parked
+// worker whose wake was lost holds resumed tasks only it can drain, and
+// they must run to unwind. It bypasses the fault injector so recovery
+// stays reliable at any fault rate.
+//
+//lhws:nonblocking
+func (rt *runtimeState) wakeAll() {
+	for _, w := range rt.workers {
+		w.unpark(false)
 	}
 }
 

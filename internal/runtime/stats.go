@@ -38,7 +38,12 @@ type statShard struct {
 	stealsLocal  atomic.Int64
 	stealsRemote atomic.Int64
 	batchItems   atomic.Int64
-	_            [128 - 13*8]byte
+	// parks counts the times this worker waited for a wake token in idle;
+	// wakes counts the tokens sent to it (written by the waker, which may
+	// be any goroutine).
+	parks atomic.Int64
+	wakes atomic.Int64
+	_     [128 - 15*8]byte
 }
 
 // tasksRunTotal sums the run-slice counter across shards; the watchdog

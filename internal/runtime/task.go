@@ -248,6 +248,7 @@ func (c *Ctx) spawn(f func(*Ctx), fut *Future) *Future {
 	nd := c.t.w.newTaskNode(child)
 	fut.nd = nd
 	c.t.w.active.q.PushBottom(nd)
+	c.t.rt.published()
 	return fut
 }
 

@@ -57,6 +57,14 @@ type StallError struct {
 	Waits []StallWait
 	// Truncated is the number of suspensions omitted from Waits.
 	Truncated int
+	// ParkedWorkers is how many workers were parked (blocked in the idle
+	// handshake) when the stall was declared. QueuedDeques and
+	// PendingResumed count the deques holding runnable items and the
+	// resumed tasks waiting for their owner to inject them: a parked
+	// worker beside either is itself the diagnosis — a lost worker wake.
+	ParkedWorkers  int
+	QueuedDeques   int
+	PendingResumed int
 }
 
 // maxStallWaits bounds the diagnostic for runs with huge suspension
@@ -65,8 +73,9 @@ const maxStallWaits = 32
 
 func (e *StallError) Error() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%v: no progress for %v, %d live task(s), %d suspension(s) outstanding",
-		ErrStalled, e.NoProgress.Round(time.Millisecond), e.Live, len(e.Waits)+e.Truncated)
+	fmt.Fprintf(&b, "%v: no progress for %v, %d live task(s), %d suspension(s) outstanding; %d worker(s) parked, %d deque(s) with queued work, %d resumed task(s) awaiting injection",
+		ErrStalled, e.NoProgress.Round(time.Millisecond), e.Live, len(e.Waits)+e.Truncated,
+		e.ParkedWorkers, e.QueuedDeques, e.PendingResumed)
 	for _, w := range e.Waits {
 		fmt.Fprintf(&b, "\n  suspended: %s", w)
 	}
@@ -125,9 +134,23 @@ func (rt *runtimeState) watchdog(stop <-chan struct{}) {
 	}
 }
 
-// stallError snapshots the suspension registry into a diagnostic.
+// stallError snapshots the suspension registry and the workers' parking
+// state into a diagnostic. It runs before the root cancel wakes anyone.
 func (rt *runtimeState) stallError(quiet time.Duration) *StallError {
 	e := &StallError{NoProgress: quiet, Live: rt.liveTasks.Load()}
+	for _, w := range rt.workers {
+		if w.parked.Load() {
+			e.ParkedWorkers++
+		}
+		e.QueuedDeques += w.queuedDeques()
+		w.mu.Lock()
+		pending := append([]*rdeque(nil), w.resumedDq...)
+		w.mu.Unlock()
+		for _, d := range pending {
+			_, resumed := d.snapshot()
+			e.PendingResumed += resumed
+		}
+	}
 	now := time.Now()
 	rt.susReg.mu.Lock()
 	waits := make([]StallWait, 0, len(rt.susReg.m))

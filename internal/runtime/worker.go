@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,6 +40,19 @@ type worker struct {
 	live         int32 // allocated deques owned (Lemma 7 observable)
 	failedSteals int
 
+	// Parking state (see idle). parked is the worker's announcement that it
+	// is about to block with nothing to run; whoever flips it back — the
+	// worker itself, or one waker — ends that park, and a waker that does
+	// sends exactly one token on sema, which the worker always consumes
+	// before it announces again. So the one-slot buffer is never full when
+	// a token is sent and never holds a token from an earlier park. The
+	// token's value is whether the waker reserved a searching slot in
+	// rt.nsearching for the worker; searching is the worker's own copy of
+	// "I am counted there" (worker-goroutine access only).
+	parked    atomic.Bool
+	sema      chan bool
+	searching bool
+
 	// Worker-local free lists (owner-role access only; see pool.go).
 	taskCache  []*task
 	futCache   []*Future
@@ -57,14 +69,15 @@ func newWorker(rt *runtimeState, id int, r *rng.RNG) *worker {
 		n = 1 // runtimeState built outside Run (test harnesses)
 	}
 	return &worker{rt: rt, id: id, rnd: r, stat: &rt.shards[id],
-		stealBuf: make([]deque.Item, n)}
+		stealBuf: make([]deque.Item, n), sema: make(chan bool, 1)}
 }
 
-// loop is the latency-hiding scheduling loop (Figure 3). It must never
-// park: a blocked worker neither executes ready work nor steals, which
-// is the idle time Theorem 2's bound assumes away. The only sanctioned
-// waits are the task-grant handoff in runTask and the escalating
-// backoff, both justified at their call sites.
+// loop is the latency-hiding scheduling loop (Figure 3). It parks only
+// when, after announcing, nothing is runnable, resumable or stealable
+// (see idle): a worker blocked while a ready or resumed vertex exists is
+// the idle time Theorem 2 charges to the scheduler. The only other
+// sanctioned wait is the task-grant handoff in runTask, justified at its
+// call site.
 //
 //lhws:nonblocking
 //lhws:owner the worker-loop goroutine is the unique owner of its active deque
@@ -84,7 +97,7 @@ func (w *worker) loop() {
 			}
 		}
 		if t != nil {
-			w.failedSteals = 0
+			w.foundWork()
 			w.runTask(t) //lhws:allowblock the grant handoff parks the loop only while its task runs; the task yields back at every scheduling point
 			continue
 		}
@@ -98,14 +111,14 @@ func (w *worker) loop() {
 		if w.rt.finished() {
 			return
 		}
-		w.backoff()
+		w.idle()
 	}
 }
 
 // loopBlocking is the baseline work-stealing loop. It is held to the
-// same no-parking discipline as loop: in Blocking mode the latency cost
-// lands inside tasks (time.Sleep on the worker's goroutine during
-// runTask), not in the scheduling loop itself.
+// same parking discipline as loop and parks through the same idle: in
+// Blocking mode the latency cost lands inside tasks (time.Sleep on the
+// worker's goroutine during runTask), not in the scheduling loop itself.
 //
 //lhws:nonblocking
 //lhws:owner the worker-loop goroutine is the unique owner of its single deque
@@ -119,7 +132,7 @@ func (w *worker) loopBlocking() {
 			}
 		}
 		if t != nil {
-			w.failedSteals = 0
+			w.foundWork()
 			//lhws:allowblock blocking-mode tasks run to completion on the grant; that cost is the baseline being measured
 			w.runTask(t)
 			continue
@@ -130,7 +143,7 @@ func (w *worker) loopBlocking() {
 		if w.rt.finished() {
 			return
 		}
-		w.backoff()
+		w.idle()
 	}
 }
 
@@ -163,7 +176,8 @@ func (w *worker) runTask(t *task) reportKind {
 // deque item — a pfor-tree node over the batch (see pfor.go) — and mark
 // non-active deques ready. Injection is O(1) per deque in the batch size;
 // the tree splits lazily as it is popped or stolen. A batch of one skips
-// the tree and pushes the task directly.
+// the tree and pushes the task directly. An injection of more than the
+// one task this worker runs next is work for a parked worker.
 //
 //lhws:nonblocking
 //lhws:owner runs on the worker-loop goroutine, which owns every deque it drains
@@ -179,9 +193,11 @@ func (w *worker) drainResumed() {
 	w.drainBuf = nil
 	w.resumedPending.Store(false)
 	w.mu.Unlock()
+	injected := 0
 	for i, d := range dqs {
 		dqs[i] = nil
 		ts := d.takeResumed(w.getSlice())
+		injected += len(ts)
 		switch len(ts) {
 		case 0:
 			// Raced with a previous drain; nothing pending after all.
@@ -201,15 +217,24 @@ func (w *worker) drainResumed() {
 		}
 	}
 	w.drainBuf = dqs[:0]
+	if injected > 1 {
+		w.rt.published()
+	}
 }
 
 // noteResumedDeque registers a deque whose first resumed task just
-// arrived. Called from timer and completion goroutines.
+// arrived, and wakes the owner if it is parked: resumed sets are drained
+// by their owner only (Figure 3 lines 1-14), so no other worker can make
+// this task runnable. Called from timer and completion goroutines.
+// Publish first, look second — the mirror of idle's announce-then-re-check.
 func (w *worker) noteResumedDeque(d *rdeque) {
 	w.mu.Lock()
 	w.resumedDq = append(w.resumedDq, d)
 	w.resumedPending.Store(true)
 	w.mu.Unlock()
+	if w.parked.Load() {
+		w.rt.wake(w, false)
+	}
 }
 
 // addReady appends d to the ready list; the inReadySet flag (guarded by
@@ -321,6 +346,10 @@ func (w *worker) trySwitch() bool {
 //lhws:owner runs on the worker-loop goroutine; the batch tail is pushed onto w.active, which this thief owns (freshly adopted in latency-hiding mode, the permanent single deque in blocking mode)
 //lhws:nonblocking
 func (w *worker) trySteal() bool {
+	if !w.searching {
+		w.searching = true
+		w.rt.nsearching.Add(1)
+	}
 	w.stat.stealAttempts.Add(1)
 	if w.rt.failSteal() {
 		return false
@@ -482,23 +511,84 @@ func (w *worker) adoptDeque(d *rdeque) {
 	}
 }
 
-// backoff yields the processor between failed steal attempts, escalating
-// per steal tier. Local-tier probes (the first localStealAttempts
-// failures) and the first few escalated probes only yield — near steals
-// are cheap to retry, which is the point of probing them first — then
-// the escalated tier climbs a capped exponential sleep ladder (1µs
-// doubling to 100µs) so timer goroutines can run even on GOMAXPROCS=1
-// while an idle worker's spin cost stays bounded. Reset on any
-// successful pop or steal.
+// spinProbes is how many failed steal attempts a worker retries at once
+// while it can see queued work somewhere, before it starts sleeping
+// between them: the local-tier probes plus the first few escalated ones —
+// a random victim pick can miss the one worker that has work, and near
+// steals are cheap to retry, which is the point of probing them first.
+const spinProbes = localStealAttempts + 4
+
+// foundWork ends a search: the worker has a task to run. The last
+// searcher to find work wakes one more parked worker, because publishers
+// that saw a searcher did not (see runtimeState.published): that is how a
+// burst of work spreads one wake at a time instead of as a storm.
 //
 //lhws:nonblocking
-func (w *worker) backoff() {
+func (w *worker) foundWork() {
+	w.failedSteals = 0
+	if w.searching {
+		w.searching = false
+		if w.rt.nsearching.Add(-1) == 0 {
+			w.rt.published()
+		}
+	}
+}
+
+// idle is where a worker whose steal attempt failed finds out whether to
+// try again or to park. It parks by a three-step handshake:
+//
+//  1. announce: set parked, count itself in rt.nidle, and leave
+//     rt.nsearching — in that order, before looking;
+//  2. re-check every source of work: its own resumed sets, every worker's
+//     active and ready deques, and the end of the run;
+//  3. block on its one-slot semaphore only if all of them were empty.
+//
+// Wakers do the mirror image — publish the work, then look at parked /
+// nidle / nsearching (noteResumedDeque, published, taskDone, a root
+// cancel). Go atomics are sequentially consistent, so an announcement and
+// a publication cannot both miss each other: either the re-check sees the
+// work, or the waker sees the announcement (or a searcher that has not
+// yet left nsearching and will therefore re-check after the publication).
+//
+// There is no spin before the announcement: the re-check is a
+// deterministic sweep that costs about what one more random probe would,
+// and a worker with nothing in sight parks at once. In particular it never
+// yields: runtime.Gosched would put it on Go's global run queue, behind
+// every runnable goroutine of a busy process, where it is neither running
+// nor parked and so cannot be woken for the resumed tasks only it can
+// drain (a ≈1 ms tail mode on the serve benchmark), whereas a parked
+// worker is made runnable next on its waker's P.
+//
+// If the re-check finds work the worker withdraws the announcement and
+// tries again, spinProbes times at once. Work that stays visible while
+// steals keep failing beyond that (an injected steal fault, a blown-target
+// deque being shed, a victim popping its last item itself) is the one case
+// left for a timed wait: a capped exponential sleep, 1µs doubling to 100µs.
+//
+//lhws:parks blocks only after announcing and then finding nothing runnable, resumable or stealable; every publisher of work looks for the announcement afterwards
+func (w *worker) idle() {
 	w.failedSteals++
-	if w.failedSteals <= localStealAttempts+4 {
-		goruntime.Gosched()
+	rt := w.rt
+	w.parked.Store(true)
+	rt.nidle.Add(1)
+	if w.searching {
+		w.searching = false
+		rt.nsearching.Add(-1)
+	}
+	if !w.workVisible() || !w.parked.CompareAndSwap(true, false) {
+		// Nothing to run — or there is, but a waker ended this park during
+		// the re-check and its token is on its way. Either way the park
+		// ends with a token, so Parks and WorkerWakes count the same events.
+		w.stat.parks.Add(1)
+		w.searching = <-w.sema
+		w.failedSteals = 0
 		return
 	}
-	shift := w.failedSteals - (localStealAttempts + 5)
+	rt.nidle.Add(-1)
+	shift := w.failedSteals - spinProbes - 1
+	if shift < 0 {
+		return
+	}
 	if shift > 7 {
 		shift = 7
 	}
@@ -506,5 +596,56 @@ func (w *worker) backoff() {
 	if d > 100*time.Microsecond {
 		d = 100 * time.Microsecond
 	}
-	time.Sleep(d) //lhws:allowblock deliberate bounded backoff after repeated failed steals; yields the P so timers fire on GOMAXPROCS=1
+	time.Sleep(d)
+}
+
+// workVisible is idle's re-check: whether anything this worker could run
+// exists right now. Own ready deques are covered by the sweep.
+func (w *worker) workVisible() bool {
+	if w.resumedPending.Load() || w.rt.finished() {
+		return true
+	}
+	for _, v := range w.rt.workers {
+		if v.queuedDeques() != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// queuedDeques counts the worker's deques that hold at least one item.
+func (w *worker) queuedDeques() int {
+	n := 0
+	w.mu.Lock()
+	if a := w.active; a != nil && !a.q.Empty() {
+		n++
+	}
+	for _, d := range w.ready {
+		if !d.q.Empty() {
+			n++
+		}
+	}
+	w.mu.Unlock()
+	return n
+}
+
+// unpark ends w's park on behalf of a waker: the CAS on parked is the
+// claim, so of any number of concurrent wakers (and the worker's own
+// withdrawal) exactly one wins, and only the winner sends a token.
+// searching tells the worker it was counted in rt.nsearching by the
+// waker. Reports whether this call was the one that woke the worker.
+//
+//lhws:nonblocking
+func (w *worker) unpark(searching bool) bool {
+	if !w.parked.CompareAndSwap(true, false) {
+		return false
+	}
+	w.rt.nidle.Add(-1)
+	w.stat.wakes.Add(1)
+	select {
+	case w.sema <- searching:
+	default:
+		panic("runtime: worker wake token slot already full")
+	}
+	return true
 }

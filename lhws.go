@@ -245,6 +245,10 @@ const (
 	// FaultPollComplete is an external I/O completion being delivered to a
 	// suspended task (poller readiness, AwaitExternal completion).
 	FaultPollComplete = faultpoint.PollComplete
+	// FaultWorkerWake is the wake of a parked worker: the owner of a deque
+	// whose resumed set became non-empty, or one idle worker when
+	// stealable work is published.
+	FaultWorkerWake = faultpoint.WorkerWake
 )
 
 // Fault actions.
