@@ -3,12 +3,18 @@ GO ?= go
 # Core packages whose hot paths the race/vet gates guard.
 CORE := ./internal/deque/... ./internal/runtime/... ./internal/sched/...
 
-.PHONY: all build test race race-core vet lhws-vet lint chaos bench-runtime bench-io bench-io-smoke bench-goodput bench-goodput-smoke bench-steal bench-steal-smoke bench-smoke bench-repo-smoke ci figures clean
+.PHONY: all build cross-build test race race-core vet lhws-vet lint chaos bench-runtime bench-io bench-io-smoke bench-goodput bench-goodput-smoke bench-steal bench-steal-smoke bench-smoke bench-repo-smoke ci figures clean
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# cross-build compiles for GOOS other than linux (std only, offline), so
+# that internal/io's non-linux stub of the raw writev cannot rot.
+cross-build:
+	GOOS=darwin GOARCH=arm64 $(GO) build ./...
+	GOOS=windows $(GO) build ./internal/io/...
 
 test:
 	$(GO) test ./...
@@ -113,7 +119,7 @@ bench-repo-smoke:
 	cd benchmark && $(GO) test ./...
 
 # ci mirrors .github/workflows/ci.yml.
-ci: build lint vet test race chaos bench-smoke bench-io-smoke bench-goodput-smoke bench-steal-smoke bench-repo-smoke
+ci: build cross-build lint vet test race chaos bench-smoke bench-io-smoke bench-goodput-smoke bench-steal-smoke bench-repo-smoke
 
 figures:
 	$(GO) run ./cmd/lhws-bench -exp fig11 -svg figures

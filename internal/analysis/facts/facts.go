@@ -278,16 +278,27 @@ var netBlockingNames = map[string]bool{
 	"WriteTo":      true,
 }
 
-// NetBlockLeaf reports whether fn is a package-net operation that parks
-// the goroutine for a network round trip.
+// NetBlockLeaf reports whether fn is an operation that parks the
+// goroutine for a network round trip: a package-net call, or
+// syscall.RawConn.Read/Write, which wait in the netpoller whenever their
+// callback returns false — a property of the callback's body the
+// analyzer does not evaluate, so every such call is a leaf and a callback
+// that cannot return false is vouched for with //lhws:allowblock.
 func NetBlockLeaf(fn *types.Func) (string, bool) {
 	fn = fn.Origin()
-	if fn.Pkg() == nil || fn.Pkg().Path() != "net" {
+	if fn.Pkg() == nil {
 		return "", false
 	}
 	name := fn.Name()
-	if netBlockingNames[name] || strings.HasPrefix(name, "Lookup") {
-		return "blocks for a network round trip", true
+	switch fn.Pkg().Path() {
+	case "net":
+		if netBlockingNames[name] || strings.HasPrefix(name, "Lookup") {
+			return "blocks for a network round trip", true
+		}
+	case "syscall":
+		if k := funcKey(fn); k == "syscall.RawConn.Read" || k == "syscall.RawConn.Write" {
+			return "parks in the netpoller whenever its callback returns false", true
+		}
 	}
 	return "", false
 }

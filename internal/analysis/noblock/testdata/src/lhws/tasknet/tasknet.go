@@ -5,6 +5,7 @@ package tasknet
 
 import (
 	"net"
+	"syscall"
 
 	"lhws/internal/runtime"
 )
@@ -42,4 +43,25 @@ func helper(cn net.Conn) {
 // interfaces.
 func typedConn(c *runtime.Ctx, tc *net.TCPConn) {
 	tc.Write(nil) // want `blocks the worker under this task`
+}
+
+// rawConn: syscall.RawConn.Read and Write wait in the netpoller whenever
+// the callback returns false, which the analyzer does not evaluate, so
+// both are flagged whatever the callback does. Control runs its callback
+// once and never waits. A callback that cannot return false is vouched
+// for where it is passed.
+func rawConn(c *runtime.Ctx, rc syscall.RawConn) {
+	rc.Read(func(uintptr) bool { return false }) // want `blocks the worker under this task`
+	rc.Write(func(uintptr) bool { return true }) // want `blocks the worker under this task`
+	rc.Control(func(uintptr) {})
+	rc.Write(func(uintptr) bool { return true }) //lhws:allowblock callback returns true unconditionally
+}
+
+// viaRaw has no Ctx; its caller is flagged through the summary.
+func viaRaw(rc syscall.RawConn) {
+	rc.Write(func(uintptr) bool { return false })
+}
+
+func callsViaRaw(c *runtime.Ctx, rc syscall.RawConn) {
+	viaRaw(rc) // want `call reaches a blocking net call under this task: tasknet\.viaRaw`
 }

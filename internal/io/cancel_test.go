@@ -1,6 +1,7 @@
 package io
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"testing"
@@ -143,6 +144,55 @@ func TestCancelThenReuse(t *testing.T) {
 		})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+}
+
+// TestCancelThenReuseWrite is TestCancelThenReuse for the write
+// direction, where the successor's first move is the inline attempt. A
+// task parked in a large write is canceled; the parent writes on the same
+// conn at once, typically while the kicked waiter is still inside its
+// socket call holding wrTurn. The inline attempt must stand aside
+// (TryLock, no deadline touched): the peer sees some prefix of the
+// canceled payload, then the successor's bytes whole and nothing after
+// them, and the run ends — an erased kick would strand the predecessor's
+// waiter and hang the dispatcher's close.
+func TestCancelThenReuseWrite(t *testing.T) {
+	const rounds = 6
+	big := bytes.Repeat([]byte{0xAA}, 8<<20)
+	tail := bytes.Repeat([]byte{0xBB}, 4096)
+	for r := 0; r < rounds; r++ {
+		p := newGatedPeer(t)
+		_, err := runtime.Run(runtime.Config{Workers: 2, Mode: runtime.LatencyHiding, Deadline: 30 * time.Second},
+			func(c *runtime.Ctx) {
+				cn, derr := Dial(c, "tcp", p.addr)
+				if derr != nil {
+					t.Errorf("dial: %v", derr)
+					return
+				}
+				defer cn.Close()
+				cc, cancel := c.WithDeadline(20 * time.Millisecond)
+				fut := cc.Spawn(func(child *runtime.Ctx) {
+					cn.Write(child, big) // parks on the full socket; unwinds here
+					t.Error("8 MB write to a stalled peer returned without cancellation")
+				})
+				if werr := fut.AwaitErr(c); !errors.Is(werr, runtime.ErrDeadline) {
+					t.Errorf("AwaitErr = %v, want ErrDeadline", werr)
+				}
+				cancel()
+				time.AfterFunc(20*time.Millisecond, p.release)
+				if n, werr := cn.Write(c, tail); n != len(tail) || werr != nil {
+					t.Errorf("post-cancel write = %d, %v; want %d, nil", n, werr, len(tail))
+				}
+			})
+		if err != nil {
+			t.Fatalf("round %d: Run: %v", r, err)
+		}
+		got := p.wait(t)
+		cut := bytes.IndexByte(got, 0xBB)
+		if cut <= 0 || !bytes.Equal(got[:cut], big[:cut]) || !bytes.Equal(got[cut:], tail) {
+			t.Fatalf("round %d: peer read %d bytes, first successor byte at %d; want a canceled prefix then exactly the successor's %d bytes",
+				r, len(got), cut, len(tail))
+		}
 	}
 }
 

@@ -406,10 +406,7 @@ func TestChaosOverloadStealLatency(t *testing.T) {
 				faultpoint.Rule{Action: faultpoint.Delay, Rate: 0.7, Delay: 2 * time.Millisecond}).
 			Set(faultpoint.PollComplete,
 				faultpoint.Rule{Action: faultpoint.Delay, Rate: 0.2, Delay: 2 * time.Millisecond})
-		var got int
-		st, err := runtime.Run(ioChaosConfig(seed, inj), func(c *runtime.Ctx) {
-			got = ioChaosWorkload(t, c)
-		})
+		got, st, err := runIOChaos(t, ioChaosConfig(seed, inj))
 		if err != nil {
 			t.Fatalf("seed %d: Run: %v (faults: %s)", seed, err, inj.Summary())
 		}

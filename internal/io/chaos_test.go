@@ -33,9 +33,29 @@ const (
 const ioChaosWant = ioChaosFrame * ioChaosRounds *
 	(ioChaosClients * (ioChaosClients + 1) / 2)
 
-// ioChaosWorkload runs the echo shape and returns the sum of all bytes
-// the clients read back.
-func ioChaosWorkload(t *testing.T, c *runtime.Ctx) int {
+// ioChaosBulk is one write far larger than the loopback socket buffers.
+// A frame-sized write to a ready socket completes inline and never meets
+// the PollComplete point; this one goes to a peer that reads nothing for
+// the first 10 ms, so its remainder parks a waiter and its completion is
+// delayed or duplicated like any read's.
+var ioChaosBulk = bytes.Repeat([]byte("chaos-bulk-write"), 8<<20/16)
+
+// runIOChaos runs ioChaosWorkload under cfg and checks that the stalled
+// peer received the bulk write whole.
+func runIOChaos(t *testing.T, cfg runtime.Config) (got int, st *runtime.Stats, err error) {
+	t.Helper()
+	p := newGatedPeer(t)
+	st, err = runtime.Run(cfg, func(c *runtime.Ctx) { got = ioChaosWorkload(t, c, p) })
+	if err == nil && !bytes.Equal(p.wait(t), ioChaosBulk) {
+		t.Errorf("seed %d: stalled peer did not receive the bulk write intact", cfg.Seed)
+	}
+	return got, st, err
+}
+
+// ioChaosWorkload runs the echo shape, beside one bulk write to the
+// stalled peer p, and returns the sum of all bytes the echo clients read
+// back.
+func ioChaosWorkload(t *testing.T, c *runtime.Ctx, p *gatedPeer) int {
 	l, err := Listen(c, "tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Errorf("listen: %v", err)
@@ -75,6 +95,18 @@ func ioChaosWorkload(t *testing.T, c *runtime.Ctx) int {
 			}
 		})
 	}
+	futs = append(futs, c.Spawn(func(cc *runtime.Ctx) {
+		cn, derr := Dial(cc, "tcp", p.addr)
+		if derr != nil {
+			t.Errorf("bulk dial: %v", derr)
+			return
+		}
+		defer cn.Close()
+		time.AfterFunc(10*time.Millisecond, p.release)
+		if n, werr := cn.Write(cc, ioChaosBulk); n != len(ioChaosBulk) || werr != nil {
+			t.Errorf("bulk write = %d, %v; want %d, nil", n, werr, len(ioChaosBulk))
+		}
+	}))
 	for _, f := range futs {
 		f.Await(c)
 	}
@@ -104,10 +136,7 @@ func ioChaosConfig(seed uint64, inj *faultpoint.Injector) runtime.Config {
 
 func ioMustBeCorrect(t *testing.T, seed uint64, inj *faultpoint.Injector) {
 	t.Helper()
-	var got int
-	st, err := runtime.Run(ioChaosConfig(seed, inj), func(c *runtime.Ctx) {
-		got = ioChaosWorkload(t, c)
-	})
+	got, st, err := runIOChaos(t, ioChaosConfig(seed, inj))
 	if err != nil {
 		t.Fatalf("seed %d: Run: %v (faults: %s)", seed, err, inj.Summary())
 	}

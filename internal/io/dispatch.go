@@ -13,10 +13,14 @@ import (
 )
 
 // This file is the dispatcher: the per-Run engine that executes socket
-// operations on behalf of suspended tasks. Tasks never touch a socket
-// directly — Conn.Read/Write and Listener.Accept hand an ioOp to the
-// dispatcher and suspend through runtime.AwaitExternalOp; Arm starts one
-// waiter goroutine for the op, which performs the blocking call with the
+// operations on behalf of suspended tasks. A task touches a socket itself
+// in exactly one place — a write's inline first attempt (Conn.tryWritev
+// in io.go), one non-blocking writev that either takes the whole vector,
+// in which case nothing here runs, or hands the rest over. Every op that
+// has to wait — each Read, Accept and Dial, and a write the socket would
+// not take whole — becomes an ioOp handed to the dispatcher, and the task
+// suspends through runtime.AwaitExternalOp; Arm starts one waiter
+// goroutine for the op, which performs the blocking call with the
 // socket's deadline cleared and completes the op when the call returns.
 //
 // A goroutine blocked in nc.Read with no deadline is a park in the Go
@@ -43,7 +47,9 @@ import (
 // that clear until its socket call has returned: the netpoller re-blocks
 // a kicked goroutine whose deadline was reset before it got to run, so a
 // canceled op's successor must not clear the deadline while its
-// predecessor is still inside the call.
+// predecessor is still inside the call. The inline write attempt keeps
+// both rules trivially: it takes the turn by TryLock and never touches a
+// deadline.
 
 // errOpCanceled is the completion payload of a kicked (canceled)
 // operation. It is never observed by user code: a canceled await either
@@ -108,8 +114,10 @@ type ioOp struct {
 	pb *bufpool.Buf
 
 	// Write state: vec is consumed front-to-front by writev attempts,
-	// voff accumulates bytes written across them. one backs Conn.Write's
-	// single-buffer vector so it needs no allocation.
+	// voff accumulates bytes written across them, starting from what the
+	// task's inline attempt already wrote. one holds a one-element
+	// remainder (every Conn.Write that missed), moved here from the Conn
+	// so it needs no allocation and outlives a canceled writer.
 	vec  net.Buffers
 	voff int
 	one  [1][]byte

@@ -15,7 +15,9 @@
 // Scope cancellation (WithCancel/WithDeadline, the watchdog, a panic
 // elsewhere) interrupts pending socket calls promptly by kicking their
 // deadlines; a canceled operation unwinds the task like every other
-// canceled wait.
+// canceled wait. A heavy edge whose latency turns out to be zero is not
+// charged one: a write the socket takes whole on a first non-blocking
+// attempt returns without suspending (Conn.writev).
 //
 // The data plane is built not to copy and not to allocate: ReadBuf
 // reads into reference-counted pooled buffers (internal/bufpool) that
@@ -39,6 +41,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"lhws/internal/bufpool"
@@ -56,8 +59,22 @@ type Conn struct {
 	// holds its turn from clearing the deadline until its socket call has
 	// returned (reads: until the bytes are settled), so a canceled op's
 	// successor can neither erase its predecessor's kick nor overtake its
-	// salvaged bytes. See dispatch.go.
+	// salvaged bytes. A write's inline first attempt (tryWritev) takes
+	// wrTurn too, by TryLock. See dispatch.go.
 	rdTurn, wrTurn sync.Mutex
+
+	// Inline first write attempt (tryWritev). rc is nil when nc is not a
+	// syscall.Conn or the platform has no raw writev: every attempt then
+	// misses. tryFn is tryWriteFD bound once, so passing it to rc.Write
+	// allocates nothing; tryVec / tryN are its argument and result, iov
+	// its iovec scratch — all three touched only under wrTurn. one backs
+	// Conn.Write's single-buffer vector.
+	rc     syscall.RawConn
+	tryFn  func(fd uintptr) bool
+	tryVec net.Buffers
+	tryN   int
+	iov    iovecs
+	one    [1][]byte
 
 	// opTimeout, when set, arms a timer-wheel deadline on each
 	// subsequent read/write op (see SetOpTimeout).
@@ -66,7 +83,7 @@ type Conn struct {
 	// wq is the task-local vectored write queue (QueueWrite/Flush). It
 	// belongs to the conn's single writer — the same task that would
 	// call Write — so it needs no lock: the writer is either queueing or
-	// suspended in Flush, never both.
+	// inside Flush, never both.
 	wq net.Buffers
 
 	// rdOp is the in-flight read, registered so a late stash entry can
@@ -228,7 +245,21 @@ func Wrap(c *runtime.Ctx, nc net.Conn) (*Conn, error) {
 	if err := nc.SetDeadline(time.Time{}); err != nil {
 		return nil, fmt.Errorf("lhws/io: conn %T does not support deadlines: %w", nc, err)
 	}
-	return &Conn{d: dispFor(c), nc: nc}, nil
+	return newConn(dispFor(c), nc), nil
+}
+
+// newConn is the one constructor behind Wrap, Accept and Dial. It takes
+// the socket's RawConn once, so the inline write attempt costs no
+// allocation per op.
+func newConn(d *dispatcher, nc net.Conn) *Conn {
+	cn := &Conn{d: d, nc: nc}
+	if sc, ok := nc.(syscall.Conn); ok && haveRawWritev {
+		if rc, err := sc.SyscallConn(); err == nil {
+			cn.rc = rc
+			cn.tryFn = cn.tryWriteFD
+		}
+	}
+	return cn
 }
 
 // SetOpTimeout sets a per-operation deadline applied to every
@@ -315,24 +346,23 @@ func (cn *Conn) ReadBuf(c *runtime.Ctx, max int) (*bufpool.Buf, error) {
 	return pb, err
 }
 
-// Write writes all of p, suspending the task across partial writes. It
-// is Writev over a one-element vector that lives inside the pooled op.
+// Write writes all of p, suspending the task only if the socket cannot
+// take it all at once. It is Writev over a one-element vector.
 func (cn *Conn) Write(c *runtime.Ctx, p []byte) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
-	op := cn.d.getOp()
-	op.one[0] = p
-	return cn.writev(c, op, "io-write", op.one[:])
+	cn.one[0] = p
+	return cn.writev(c, "io-write", cn.one[:])
 }
 
-// Writev writes every buffer in bufs as one vectored operation: the
-// waiter issues writev (net.Buffers.WriteTo), so N pipelined response
-// fragments cost one syscall instead of N. bufs is consumed — its
-// elements are nil'ed and resliced as prefixes complete, exactly like
-// net.Buffers — so the caller must not reuse it without rebuilding.
-// Returns the total bytes written; the task stays suspended across
-// partial writes until the vector drains, as with Write.
+// Writev writes every buffer in bufs as one vectored operation: one
+// writev syscall per ready window, so N pipelined response fragments
+// cost one syscall instead of N. bufs is consumed — its elements are
+// nil'ed and resliced as prefixes complete, exactly like net.Buffers —
+// so the caller must not reuse it without rebuilding. Returns the total
+// bytes written; a vector the socket does not take whole suspends the
+// task until the rest drains, as with Write.
 func (cn *Conn) Writev(c *runtime.Ctx, bufs net.Buffers) (int, error) {
 	total := 0
 	for _, b := range bufs {
@@ -341,15 +371,80 @@ func (cn *Conn) Writev(c *runtime.Ctx, bufs net.Buffers) (int, error) {
 	if total == 0 {
 		return 0, nil
 	}
-	return cn.writev(c, cn.d.getOp(), "io-writev", bufs)
+	return cn.writev(c, "io-writev", bufs)
 }
 
-func (cn *Conn) writev(c *runtime.Ctx, op *ioOp, site string, bufs net.Buffers) (int, error) {
+// writev is the one funnel under Write, Writev and Flush. A heavy edge
+// whose latency turns out to be zero is a light edge: the vector is
+// first tried once, non-blocking, on the calling task's own slice, and a
+// socket with buffer space — every reply on loopback — takes it whole,
+// with no op, no suspension, no waiter and no per-op timer. Anything
+// else continues, from the written prefix, into the waiter path that
+// used to be the whole story (dispatch.go).
+func (cn *Conn) writev(c *runtime.Ctx, site string, bufs net.Buffers) (int, error) {
+	n, bufs := cn.tryWritev(c, bufs)
+	if len(bufs) == 0 {
+		return n, nil
+	}
+	op := cn.d.getOp()
+	if len(bufs) == 1 {
+		// A one-element remainder — Write's always is, and it lives in
+		// cn.one — moves into the op: a canceled writer unwinds while its
+		// kicked waiter may still be reading the vector, and the conn's
+		// next Write reuses cn.one.
+		op.one[0], bufs[0] = bufs[0], nil
+		bufs = op.one[:]
+	}
 	op.kind = opWritev
 	op.cn = cn
 	op.vec = bufs
+	op.voff = n
 	cn.armOpDeadline(op)
 	return c.AwaitExternalOp(site, runtime.KindFD, op)
+}
+
+// tryWritev is writev's inline first attempt: one raw non-blocking
+// writev of bufs. It returns the bytes written and what is left of the
+// vector, the written prefix consumed the way net.Buffers does it.
+//
+// It is a prefix of the waiter path, not a second path, and stays inside
+// the kick protocol (DESIGN.md §9) by four rules. A canceled scope does
+// no I/O: c.Err is checked first, and the await's own checks unwind the
+// task as before. The turn is taken by TryLock, so the attempt never
+// runs while a kicked predecessor's waiter is still inside its socket
+// call — and, holding it, finds the fd's write lock free. It never clears
+// or sets a deadline: a stale kick left in the past makes RawConn.Write
+// fail in prepareWrite before the callback runs, which is a miss, and the
+// waiter's startAttempt clears it under op.mu as always. And every error
+// is a miss, so the waiter's net.Buffers.WriteTo reproduces it with net's
+// own value — net.ErrClosed on a closed conn included.
+func (cn *Conn) tryWritev(c *runtime.Ctx, bufs net.Buffers) (int, net.Buffers) {
+	if cn.rc == nil || c.Err() != nil || !cn.wrTurn.TryLock() {
+		return 0, bufs
+	}
+	cn.tryVec, cn.tryN = bufs, 0
+	// The error is dropped on purpose: a failed attempt wrote nothing.
+	_ = cn.rc.Write(cn.tryFn) //lhws:allowblock cannot park: tryWriteFD returns true unconditionally, so RawWrite never reaches waitWrite, and the fd write lock is free because wrTurn is held
+	n := cn.tryN
+	cn.tryVec = nil
+	cn.wrTurn.Unlock()
+	for rest := n; len(bufs) > 0; bufs = bufs[1:] {
+		if b := bufs[0]; len(b) > rest {
+			bufs[0] = b[rest:]
+			break
+		}
+		rest -= len(bufs[0])
+		bufs[0] = nil
+	}
+	return n, bufs
+}
+
+// tryWriteFD is the RawConn.Write callback of tryWritev. Returning true
+// whatever the syscall said is what keeps the attempt non-blocking:
+// false would park this goroutine — a worker's — in the netpoller.
+func (cn *Conn) tryWriteFD(fd uintptr) bool {
+	cn.tryN = cn.iov.writev(fd, cn.tryVec)
+	return true
 }
 
 // QueueWrite appends p to the conn's write queue without suspending or
@@ -382,9 +477,10 @@ func (cn *Conn) Flush(c *runtime.Ctx) (int, error) {
 		return 0, nil
 	}
 	vec := cn.wq
-	// Reset to the same backing array: the vectored op consumes vec's
-	// header (and nils drained elements), and this task is suspended in
-	// Writev until the op completes, so the reuse cannot race it.
+	// Reset to the same backing array: the write consumes vec's header
+	// (and nils drained elements), and this task — the conn's one writer —
+	// does not return from Writev until the vector has drained or failed,
+	// inline or suspended, so the reuse cannot race it.
 	cn.wq = cn.wq[:0]
 	return cn.Writev(c, vec)
 }
@@ -471,7 +567,7 @@ func (l *Listener) Accept(c *runtime.Ctx) (*Conn, error) {
 		// scope is canceled, so the very next scheduling point unwinds.
 		return nil, errOpCanceled
 	}
-	return &Conn{d: l.d, nc: nc}, nil
+	return newConn(l.d, nc), nil
 }
 
 // Addr returns the listener's address (useful with port 0).
@@ -493,13 +589,15 @@ func Dial(c *runtime.Ctx, network, addr string) (*Conn, error) {
 	if nc == nil {
 		return nil, errOpCanceled
 	}
-	return &Conn{d: d, nc: nc}, nil
+	return newConn(d, nc), nil
 }
 
 // PeakBridges reports the high-water count of live waiter goroutines in
-// this run's dispatcher — about one per simultaneously pending socket
-// operation. Zero if the run performed no I/O. (The name predates the
-// waiters; the repo benchmark records it as io.peak_bridges.)
+// this run's dispatcher — one per simultaneously pending socket
+// operation that really waits: a write the socket takes whole on its
+// inline first attempt never has one. Zero if the run performed no I/O.
+// (The name predates the waiters; the repo benchmark records it as
+// io.peak_bridges.)
 func PeakBridges(c *runtime.Ctx) int {
 	return dispFor(c).peakWaiters()
 }
