@@ -4,23 +4,26 @@
 //
 // Usage:
 //
-//	lhws-bench -exp fig11 [-delta 500] [-full] [-seed 1]
-//	lhws-bench -exp greedy|bound|lemmas|steals|uwidth|wallclock|all
-//	lhws-bench -exp runtime [-out BENCH_runtime.json]
+//	lhws-bench [-exp all] [-seed 1] [-markdown] [-memprofile FILE]
+//	lhws-bench -exp fig11 [-delta 500] [-full] [-svg DIR]
+//	lhws-bench -exp greedy|bound|lemmas|steals|variants|potential|uwidth
+//	lhws-bench -exp wallclock|responsiveness|multiprog|scale
 //	lhws-bench -exp io [-ioout BENCH_io.json]
 //	lhws-bench -exp iothrough [-iosmoke]
+//	lhws-bench -exp goodput [-goodout BENCH_goodput.json] [-goodsmoke]
 //
 // Output is a fixed-width table per experiment plus a PASS/FAIL line for
 // the experiment's shape check. -markdown switches tables to Markdown for
-// pasting into documents. -exp runtime additionally writes the hot-path
-// microbenchmark sweep (ns/op, allocs/op, baseline deltas) as JSON to
-// -out, the checked-in regression baseline; -exp io writes the
+// pasting into documents. -exp all runs every experiment except
+// iothrough, which -exp io already includes. -exp io writes the
 // real-socket echo comparison (latency-hiding vs blocking throughput at
 // δ=50ms) plus the data-plane throughput sweep (pooled vs malloc'd
 // buffers, vectored vs scalar writes at C=4096) to -ioout as one
 // combined record. -exp iothrough runs just the data-plane sweep
 // without touching the JSON; -iosmoke shrinks it to CI smoke scale
-// with loose no-collapse gates.
+// with loose no-collapse gates. -exp goodput writes the overload sweep
+// to -goodout; -goodsmoke shrinks it to CI smoke scale and writes no
+// JSON.
 package main
 
 import (
@@ -45,20 +48,17 @@ type tabler interface {
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment: fig11, greedy, bound, lemmas, steals, variants, potential, uwidth, wallclock, responsiveness, multiprog, scale, runtime, io, iothrough, goodput, steal, all")
-		deltaMS    = flag.Float64("delta", 0, "fig11 panel latency in ms (500, 50, 1); 0 runs all three panels")
-		full       = flag.Bool("full", false, "fig11 at the paper's full scale (n=5000) instead of the laptop scale (n=500)")
-		seed       = flag.Uint64("seed", 1, "random seed")
-		markdown   = flag.Bool("markdown", false, "render tables as Markdown")
-		svgDir     = flag.String("svg", "", "directory to write Figure-11 panels as SVG plots (fig11 only)")
-		jsonOut    = flag.String("out", "BENCH_runtime.json", "output path for the -exp runtime JSON sweep")
-		jsonOutIO  = flag.String("ioout", "BENCH_io.json", "output path for the -exp io JSON comparison")
-		ioSmoke    = flag.Bool("iosmoke", false, "iothrough at CI smoke scale (small load, no-collapse gates only, no JSON)")
-		goodOut    = flag.String("goodout", "BENCH_goodput.json", "output path for the -exp goodput JSON sweep")
-		goodSmoke  = flag.Bool("goodsmoke", false, "goodput at CI smoke scale (tiny load, no-collapse gate only, no JSON)")
-		stealOut   = flag.String("stealout", "BENCH_steal.json", "output path for the -exp steal JSON sweep")
-		stealSmoke = flag.Bool("stealsmoke", false, "steal economics at CI smoke scale (ratio gates only, no JSON)")
-		memProf    = flag.String("memprofile", "", "write an allocation profile for the run to this file (for chasing allocs/req regressions)")
+		exp       = flag.String("exp", "all", "experiment: fig11, greedy, bound, lemmas, steals, variants, potential, uwidth, wallclock, responsiveness, multiprog, scale, io, goodput, or all of those; iothrough runs only when named")
+		deltaMS   = flag.Float64("delta", 0, "fig11 panel latency in ms (500, 50, 1); 0 runs all three panels")
+		full      = flag.Bool("full", false, "fig11 at the paper's full scale (n=5000) instead of the laptop scale (n=500)")
+		seed      = flag.Uint64("seed", 1, "random seed")
+		markdown  = flag.Bool("markdown", false, "render tables as Markdown")
+		svgDir    = flag.String("svg", "", "directory to write Figure-11 panels as SVG plots (fig11 only)")
+		jsonOutIO = flag.String("ioout", "BENCH_io.json", "output path for the -exp io JSON comparison")
+		ioSmoke   = flag.Bool("iosmoke", false, "iothrough at CI smoke scale (small load, no-collapse gates only, no JSON)")
+		goodOut   = flag.String("goodout", "BENCH_goodput.json", "output path for the -exp goodput JSON sweep")
+		goodSmoke = flag.Bool("goodsmoke", false, "goodput at CI smoke scale (tiny load, no-collapse gate only, no JSON)")
+		memProf   = flag.String("memprofile", "", "write an allocation profile for the run to this file (for chasing allocs/req regressions)")
 	)
 	flag.Parse()
 	if *memProf != "" {
@@ -157,19 +157,6 @@ func main() {
 	if want("scale") {
 		run("high-P scaling (beyond the paper's sweep)", func() (tabler, error) { return experiments.Scale(*seed) })
 	}
-	if want("runtime") {
-		run("runtime overheads (hot-path microbenchmarks)", func() (tabler, error) {
-			r, err := experiments.RuntimeBench(*seed)
-			if err == nil {
-				if werr := writeRuntimeJSON(*jsonOut, r); werr != nil {
-					fmt.Fprintf(os.Stderr, "json: %v\n", werr)
-					ok = false
-				}
-			}
-			return r, err
-		})
-	}
-
 	if want("io") {
 		rec := &ioRecord{}
 		run("real-socket echo (latency hiding vs blocking, δ=50ms)", func() (tabler, error) {
@@ -183,7 +170,7 @@ func main() {
 			return r, err
 		})
 		if rec.Echo != nil && rec.Throughput != nil {
-			if werr := writeIOJSON(*jsonOutIO, rec); werr != nil {
+			if werr := writeJSON(*jsonOutIO, rec); werr != nil {
 				fmt.Fprintf(os.Stderr, "json: %v\n", werr)
 				ok = false
 			}
@@ -210,27 +197,7 @@ func main() {
 		run(label, func() (tabler, error) {
 			r, err := experiments.GoodputBench(cfg)
 			if err == nil && !*goodSmoke {
-				if werr := writeGoodputJSON(*goodOut, r); werr != nil {
-					fmt.Fprintf(os.Stderr, "json: %v\n", werr)
-					ok = false
-				}
-			}
-			return r, err
-		})
-	}
-
-	if want("steal") {
-		cfg := experiments.ScaledStealBench()
-		label := "steal economics (batched vs single-item, locality shards)"
-		if *stealSmoke {
-			cfg = experiments.SmokeStealBench()
-			label = "steal economics (smoke)"
-		}
-		cfg.Seed = *seed
-		run(label, func() (tabler, error) {
-			r, err := experiments.StealBench(cfg)
-			if err == nil && !*stealSmoke {
-				if werr := writeStealJSON(*stealOut, r); werr != nil {
+				if werr := writeJSON(*goodOut, r); werr != nil {
 					fmt.Fprintf(os.Stderr, "json: %v\n", werr)
 					ok = false
 				}
@@ -255,24 +222,10 @@ func main() {
 	}
 }
 
-// writeStealJSON writes the steal-economics sweep as the
-// BENCH_steal.json regression record.
-func writeStealJSON(path string, r *experiments.StealBenchResult) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
-}
-
-// writeGoodputJSON writes the overload sweep as the BENCH_goodput.json
-// robustness record.
-func writeGoodputJSON(path string, r *experiments.GoodputResult) error {
-	data, err := json.MarshalIndent(r, "", "  ")
+// writeJSON writes one experiment record (BENCH_io.json,
+// BENCH_goodput.json) as indented JSON.
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
@@ -290,33 +243,6 @@ func writeGoodputJSON(path string, r *experiments.GoodputResult) error {
 type ioRecord struct {
 	Echo       *experiments.IOBenchResult      `json:"echo"`
 	Throughput *experiments.IOThroughputResult `json:"throughput"`
-}
-
-// writeIOJSON writes the combined io record as BENCH_io.json.
-func writeIOJSON(path string, r *ioRecord) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
-}
-
-// writeRuntimeJSON writes the hot-path sweep as the BENCH_runtime.json
-// regression baseline.
-func writeRuntimeJSON(path string, r *experiments.RuntimeBenchResult) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
 }
 
 // writeFig11SVG renders one Figure-11 panel in the paper's plot

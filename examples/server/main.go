@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"lhws"
-	"lhws/internal/trace"
 )
 
 // Wire protocol: a request is a 4-byte big-endian id; a reply is one
@@ -267,13 +266,7 @@ func main() {
 		}()
 
 		var drain *lhws.DrainReport
-		// The steal log taps the runtime's steal event stream so the
-		// summary can report locality and batching ratios per mode.
-		slog := trace.NewStealLog(*workers)
-		cfg := lhws.RuntimeConfig{Workers: *workers, Mode: mode, ShedBlownTargets: true,
-			OnSteal: func(ev lhws.StealEvent) {
-				slog.Record(ev.Thief, ev.Victim, ev.Items, ev.Local)
-			}}
+		cfg := lhws.RuntimeConfig{Workers: *workers, Mode: mode, ShedBlownTargets: true}
 		var ms0 goruntime.MemStats
 		goruntime.ReadMemStats(&ms0)
 		st, err := lhws.RunTasks(cfg, func(c *lhws.Ctx) {
@@ -312,9 +305,9 @@ func main() {
 			float64(ms1.Mallocs-ms0.Mallocs)/float64(*requests))
 		fmt.Printf("%-15s drain: completed %d, canceled %d, remaining %d in %v\n",
 			"", drain.Completed, drain.Canceled, drain.Remaining, drain.Waited.Round(time.Millisecond))
-		if tot := slog.Total(); tot.Steals > 0 {
-			fmt.Printf("%-15s steals: %d moving %d items (%.2f items/steal), %.0f%% local\n",
-				"", tot.Steals, tot.Items, tot.MeanBatch(), 100*tot.LocalityRatio())
+		if st.Steals > 0 {
+			fmt.Printf("%-15s steals: %d moving %d items (%.2f items/steal)\n",
+				"", st.Steals, st.BatchItems, float64(st.BatchItems)/float64(st.Steals))
 		}
 		if ok+timedOut+rejected+shed != int64(*requests) {
 			log.Fatalf("lost requests: %d ok + %d timeout + %d rejected + %d shed != %d",

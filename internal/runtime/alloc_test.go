@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"math"
 	goruntime "runtime"
 	"testing"
 	"time"
@@ -150,6 +151,63 @@ func TestAllocsPublicSpawnSteadyState(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+}
+
+// TestAllocsMultiWorkerFanout holds the allocation contract where
+// AllocsPerRun cannot look: it pins GOMAXPROCS to 1, so no gate above
+// sees four workers stealing at once. A 256-wide fan-out of empty leaves
+// and the steal-heavy skew (a 512-wide fan-out of spinning leaves) run
+// at Workers: 4, and an op — one public Spawn + Await — may allocate
+// its one user-visible Future plus slack. The count is the
+// MemStats.Mallocs delta over a measured pass after a warm pass in the
+// same Run, least of three Runs.
+func TestAllocsMultiWorkerFanout(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("sync.Pool drops objects under -race")
+	}
+	for _, tc := range []struct {
+		name string
+		fan  int
+		leaf func(*Ctx)
+	}{
+		{"wide-fanout", 256, benchLeaf},
+		{"steal-skew", 512, benchSpin},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const warm, ops = 2048, 20480 // multiples of both fan widths
+			best := math.Inf(1)
+			for pass := 0; pass < 3; pass++ {
+				var perOp float64
+				_, err := Run(benchConfig(4), func(c *Ctx) {
+					futs := make([]*Future, tc.fan)
+					fanout := func(n int) {
+						for done := 0; done < n; done += tc.fan {
+							for i := range futs {
+								futs[i] = c.Spawn(tc.leaf)
+							}
+							for _, f := range futs {
+								f.Await(c)
+							}
+						}
+					}
+					fanout(warm)
+					var m0, m1 goruntime.MemStats
+					goruntime.ReadMemStats(&m0)
+					fanout(ops)
+					goruntime.ReadMemStats(&m1)
+					perOp = float64(m1.Mallocs-m0.Mallocs) / ops
+				})
+				if err != nil {
+					t.Fatalf("Run: %v", err)
+				}
+				best = min(best, perOp)
+			}
+			t.Logf("%.3f allocs/op", best)
+			if best > 2 {
+				t.Errorf("%.2f allocs/op at P=4, want <= 2 (one public Future plus slack)", best)
+			}
+		})
 	}
 }
 

@@ -57,10 +57,6 @@ func chaosConfig(seed uint64, inj *faultpoint.Injector) Config {
 		Deadline:     30 * time.Second,
 		StallTimeout: 300 * time.Millisecond,
 		Faults:       inj,
-		// Two shards over four workers keep the two-tier victim policy
-		// and the batched transfer path under fault injection for every
-		// chaos scenario (batching itself is on by default).
-		StealShards: 2,
 	}
 }
 

@@ -17,8 +17,6 @@ import (
 // owner role is a discipline, not a goroutine identity.
 func harnessWorkers(n int) []*worker {
 	rt := &runtimeState{cfg: Config{Workers: n}}
-	rt.maxSteal = DefaultStealBatch
-	rt.shardCount = 1
 	rt.shards = make([]statShard, n)
 	rt.workers = make([]*worker, n)
 	seeds := rng.New(1)
@@ -26,7 +24,6 @@ func harnessWorkers(n int) []*worker {
 		rt.workers[i] = newWorker(rt, i, seeds.Split())
 		rt.workers[i].adoptDeque(newRdeque(rt.workers[i]))
 	}
-	assignStealShards(rt.workers, rt.shardCount)
 	return rt.workers
 }
 

@@ -62,49 +62,17 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lhws/internal/deque"
 	"lhws/internal/faultpoint"
 	"lhws/internal/rng"
 	"lhws/internal/timerwheel"
 )
 
-// DefaultStealBatch is the per-steal item cap when Config.MaxStealBatch
-// is zero. Sixteen keeps one batch well under the claim-word limit
-// (deque.MaxBatch) while still amortizing the steal handshake over
-// enough items to clear the steal-economics gates.
+// DefaultStealBatch caps how many items one successful steal transfers
+// (a steal never takes more than half the victim deque regardless).
+// Sixteen keeps one batch well under the claim-word limit
+// (deque.MaxBatch) while amortizing the steal handshake over about 12
+// items per steal on a skewed fan-out (EXPERIMENTS.md "Steal economics").
 const DefaultStealBatch = 16
-
-// stealShardCount resolves Config.StealShards: 0 defaults to shards of
-// about four workers (the adjacent-cores granularity the Gast et al.
-// near/far latency split models), and the count never exceeds the
-// worker count.
-func stealShardCount(shards, workers int) int {
-	if shards == 0 {
-		shards = (workers + 3) / 4
-	}
-	if shards > workers {
-		shards = workers
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	return shards
-}
-
-// assignStealShards gives each worker its contiguous locality shard
-// [shardLo, shardHi): worker i belongs to shard i*count/P, which splits
-// P workers into count near-equal contiguous groups.
-func assignStealShards(workers []*worker, count int) {
-	p := len(workers)
-	lo := 0
-	for s := 0; s < count; s++ {
-		hi := (s + 1) * p / count
-		for i := lo; i < hi; i++ {
-			workers[i].shardLo, workers[i].shardHi = lo, hi
-		}
-		lo = hi
-	}
-}
 
 // Mode selects the scheduling algorithm.
 type Mode int
@@ -161,35 +129,6 @@ type Config struct {
 	// workers to work that can still meet its target. Off by default —
 	// without it targets only steer deque selection and never cancel.
 	ShedBlownTargets bool
-	// StealShards groups workers into locality shards for two-level
-	// victim selection: a thief probes victims inside its own shard
-	// first (modeling cheap near steals per Gast et al.,
-	// arXiv:1805.00857) and escalates to uniform-over-all selection
-	// after a few failed local attempts. 0 picks a default sized by
-	// Workers (shards of ~4 workers); 1 disables locality (uniform
-	// victim selection everywhere). Values above Workers are clamped.
-	StealShards int
-	// MaxStealBatch caps how many items one successful steal may
-	// transfer (a steal never takes more than half the victim deque
-	// regardless). 0 picks the default (DefaultStealBatch); 1 restores
-	// classic single-item stealing — the baseline the steal-economics
-	// experiment compares against. Values above deque.MaxBatch are
-	// clamped.
-	MaxStealBatch int
-	// OnSteal, when non-nil, observes every successful steal from the
-	// thief's goroutine, on the steal path itself. It must be cheap,
-	// must not block, and must not call back into the runtime; it
-	// exists to feed external collectors (the internal/trace steal
-	// log).
-	OnSteal func(StealEvent)
-}
-
-// StealEvent describes one successful steal for Config.OnSteal.
-type StealEvent struct {
-	Thief  int  // stealing worker id
-	Victim int  // victim worker id
-	Items  int  // items transferred (≥ 1)
-	Local  bool // victim was in the thief's locality shard
 }
 
 // Stats reports counters from one execution. All counts are totals across
@@ -204,8 +143,6 @@ type Stats struct {
 	Switches           int64         // deque switches
 	StealAttempts      int64         // steal attempts
 	Steals             int64         // successful steals
-	StealsLocal        int64         // successful steals from a same-shard victim
-	StealsRemote       int64         // successful steals that escalated beyond the shard
 	BatchItems         int64         // items transferred by successful steals (≥ Steals)
 	ResumeBatches      int64         // multi-task pfor-tree injections by drainResumed
 	ResumeBatchTasks   int64         // tasks re-injected inside those batches
@@ -245,22 +182,8 @@ func Run(cfg Config, root func(*Ctx)) (*Stats, error) {
 	if cfg.Workers < 1 {
 		return nil, fmt.Errorf("%w: Workers must be >= 1, got %d", ErrConfig, cfg.Workers)
 	}
-	if cfg.StealShards < 0 {
-		return nil, fmt.Errorf("%w: StealShards must be >= 0, got %d", ErrConfig, cfg.StealShards)
-	}
-	if cfg.MaxStealBatch < 0 {
-		return nil, fmt.Errorf("%w: MaxStealBatch must be >= 0, got %d", ErrConfig, cfg.MaxStealBatch)
-	}
 	rt := &runtimeState{cfg: cfg, poolStop: make(chan struct{})}
 	rt.trackSuspends = cfg.StallTimeout > 0
-	rt.maxSteal = cfg.MaxStealBatch
-	if rt.maxSteal == 0 {
-		rt.maxSteal = DefaultStealBatch
-	}
-	if rt.maxSteal > deque.MaxBatch {
-		rt.maxSteal = deque.MaxBatch
-	}
-	rt.shardCount = stealShardCount(cfg.StealShards, cfg.Workers)
 	rt.wheel = timerwheel.New(0)
 	rt.root = newCancelScope(rt, nil)
 	seeds := rng.New(cfg.Seed)
@@ -269,7 +192,6 @@ func Run(cfg Config, root func(*Ctx)) (*Stats, error) {
 	for i := range rt.workers {
 		rt.workers[i] = newWorker(rt, i, seeds.Split())
 	}
-	assignStealShards(rt.workers, rt.shardCount)
 
 	// The root task is never recycled (recycle=false from newTask): Run
 	// reads rootTask.err after the pool drains.
@@ -337,8 +259,6 @@ func Run(cfg Config, root func(*Ctx)) (*Stats, error) {
 		st.Switches += s.switches.Load()
 		st.StealAttempts += s.stealAttempts.Load()
 		st.Steals += s.steals.Load()
-		st.StealsLocal += s.stealsLocal.Load()
-		st.StealsRemote += s.stealsRemote.Load()
 		st.BatchItems += s.batchItems.Load()
 		st.ResumeBatches += s.resumeBatches.Load()
 		st.ResumeBatchTasks += s.resumeBatchTasks.Load()
@@ -370,12 +290,7 @@ type runtimeState struct {
 	// exists anywhere in the run — the common case for target-free
 	// workloads.
 	activeTargets atomic.Int64
-	// shardCount and maxSteal are the resolved steal-policy knobs
-	// (Config.StealShards / Config.MaxStealBatch after defaulting and
-	// clamping), fixed for the run.
-	shardCount int
-	maxSteal   int
-	stalled    atomic.Bool
+	stalled       atomic.Bool
 	// nidle counts workers that have announced a park (worker.parked) and
 	// not been woken or withdrawn; nsearching counts workers looking for
 	// work — spinning through steal attempts, or woken to. Both belong to

@@ -30,20 +30,15 @@ type statShard struct {
 	// the single-injection-per-drain property.
 	resumeBatches    atomic.Int64
 	resumeBatchTasks atomic.Int64
-	// stealsLocal / stealsRemote split successful steals by victim tier
-	// (same locality shard vs escalated), and batchItems counts the items
-	// those steals transferred; batchItems / (stealsLocal+stealsRemote)
-	// is the steal-half amortization factor the steal-economics gates
-	// check (steals == stealsLocal + stealsRemote always).
-	stealsLocal  atomic.Int64
-	stealsRemote atomic.Int64
-	batchItems   atomic.Int64
+	// batchItems counts the items successful steals transferred;
+	// batchItems / steals is the steal-half amortization factor.
+	batchItems atomic.Int64
 	// parks counts the times this worker waited for a wake token in idle;
 	// wakes counts the tokens sent to it (written by the waker, which may
 	// be any goroutine).
 	parks atomic.Int64
 	wakes atomic.Int64
-	_     [128 - 15*8]byte
+	_     [128 - 13*8]byte
 }
 
 // tasksRunTotal sums the run-slice counter across shards; the watchdog

@@ -17,9 +17,6 @@ type worker struct {
 	rnd  *rng.RNG
 	stat *statShard // this worker's hot-counter shard (see stats)
 
-	// shardLo/shardHi bound this worker's locality shard [lo, hi) for
-	// two-level victim selection (see pickVictim); fixed at Run setup.
-	shardLo, shardHi int
 	// stealBuf receives PopTopBatch transfers; owner-role access only,
 	// entries nil'd after every transfer so no stolen item is retained.
 	stealBuf []deque.Item
@@ -64,12 +61,8 @@ type worker struct {
 }
 
 func newWorker(rt *runtimeState, id int, r *rng.RNG) *worker {
-	n := rt.maxSteal
-	if n < 1 {
-		n = 1 // runtimeState built outside Run (test harnesses)
-	}
 	return &worker{rt: rt, id: id, rnd: r, stat: &rt.shards[id],
-		stealBuf: make([]deque.Item, n), sema: make(chan bool, 1)}
+		stealBuf: make([]deque.Item, DefaultStealBatch), sema: make(chan bool, 1)}
 }
 
 // loop is the latency-hiding scheduling loop (Figure 3). It parks only
@@ -310,9 +303,9 @@ func (w *worker) trySwitch() bool {
 }
 
 // trySteal is the shared steal core for both scheduling modes: one
-// attempt under the §6 policy — choose a victim worker (two-level
-// locality selection, see pickVictim), then a deque among its active and
-// ready deques — followed by a batched transfer. The candidate is indexed
+// attempt under the §6 policy — choose a victim worker uniformly (see
+// pickVictim), then a deque uniformly among its active and ready deques
+// — followed by a batched transfer. The candidate is indexed
 // directly under the victim's lock; no candidate slice is materialized.
 // In Blocking mode the victim's ready list is always empty and the thief
 // keeps its single permanent deque, so the same code degenerates to
@@ -334,7 +327,7 @@ func (w *worker) trySwitch() bool {
 //
 // The transfer itself is the steal-half batching of Rito & Paulino
 // (arXiv:1810.10615): PopTopBatch moves up to half the victim deque —
-// capped by Config.MaxStealBatch — under one claim + one committing CAS,
+// capped at DefaultStealBatch — under one claim + one committing CAS,
 // so synchronization is paid per transfer, not per item. The batch tail
 // is re-pushed onto the thief's deque oldest-first, making the thief's
 // deque the stolen range verbatim: the topmost item is the oldest
@@ -354,7 +347,7 @@ func (w *worker) trySteal() bool {
 	if w.rt.failSteal() {
 		return false
 	}
-	victim, local := w.pickVictim()
+	victim := w.pickVictim()
 	if victim == nil {
 		return false
 	}
@@ -407,11 +400,12 @@ func (w *worker) trySteal() bool {
 			target.clearBlownTarget(tgt)
 		}
 	}
-	n := target.q.PopTopBatch(w.stealBuf, w.rt.maxSteal)
+	n := target.q.PopTopBatch(w.stealBuf, DefaultStealBatch)
 	if n == 0 {
 		return false
 	}
-	w.noteSteal(victim, n, local)
+	w.stat.steals.Add(1)
+	w.stat.batchItems.Add(int64(n))
 	if w.rt.cfg.Mode != Blocking {
 		w.adoptDeque(w.getRdeque())
 		// The stolen work carries the victim deque's target with it —
@@ -437,60 +431,20 @@ func (w *worker) trySteal() bool {
 	return true
 }
 
-// noteSteal records a successful transfer of items from victim in the
-// thief's stat shard and feeds the Config.OnSteal observer.
+// pickVictim draws the victim uniformly over the other workers — the
+// paper's §6 policy — or returns nil when the thief is alone.
 //
 //lhws:nonblocking
-func (w *worker) noteSteal(victim *worker, items int, local bool) {
-	w.stat.steals.Add(1)
-	w.stat.batchItems.Add(int64(items))
-	if local {
-		w.stat.stealsLocal.Add(1)
-	} else {
-		w.stat.stealsRemote.Add(1)
-	}
-	if f := w.rt.cfg.OnSteal; f != nil {
-		f(StealEvent{Thief: w.id, Victim: victim.id, Items: items, Local: local}) //lhws:allowblock user observer; Config.OnSteal documents it runs on the thief's steal path and must not block
-	}
-}
-
-// localStealAttempts is how many consecutive failed steals a thief spends
-// probing its own locality shard before escalating to uniform-over-all
-// victim selection — the near/far tier split of the Gast et al.
-// (arXiv:1805.00857) latency model. Reset on any successful pop or steal
-// (see loop), so a thief that finds work locally stays local.
-const localStealAttempts = 4
-
-// pickVictim chooses a victim under the two-level locality policy:
-// while the thief is in its local tier (fewer than localStealAttempts
-// consecutive failures) and its shard holds another worker, it probes
-// uniformly inside the shard; afterwards it probes uniformly over all
-// other workers, which may still land locally. The returned flag reports
-// whether the victim shares the thief's shard. With StealShards == 1 the
-// whole pool is one shard and selection is the classic uniform policy.
-//
-//lhws:nonblocking
-func (w *worker) pickVictim() (*worker, bool) {
+func (w *worker) pickVictim() *worker {
 	n := len(w.rt.workers)
 	if n == 1 {
-		return nil, false
-	}
-	if w.rt.shardCount > 1 && w.failedSteals < localStealAttempts {
-		if span := w.shardHi - w.shardLo; span > 1 {
-			vi := w.shardLo + w.rnd.Intn(span-1)
-			if vi >= w.id {
-				vi++
-			}
-			return w.rt.workers[vi], true
-		}
-		// The thief is alone in its shard: local probes could never
-		// succeed, so fall through to the escalated tier immediately.
+		return nil
 	}
 	vi := w.rnd.Intn(n - 1)
 	if vi >= w.id {
 		vi++
 	}
-	return w.rt.workers[vi], vi >= w.shardLo && vi < w.shardHi
+	return w.rt.workers[vi]
 }
 
 // adoptDeque installs a fresh deque as the active deque and updates the
@@ -513,10 +467,10 @@ func (w *worker) adoptDeque(d *rdeque) {
 
 // spinProbes is how many failed steal attempts a worker retries at once
 // while it can see queued work somewhere, before it starts sleeping
-// between them: the local-tier probes plus the first few escalated ones —
-// a random victim pick can miss the one worker that has work, and near
-// steals are cheap to retry, which is the point of probing them first.
-const spinProbes = localStealAttempts + 4
+// between them. A uniform victim draw can miss the one worker that has
+// work: with one loaded worker among P−1 candidates, 8 draws all miss it
+// with probability ((P−2)/(P−1))^8, under 4 % at P = 4.
+const spinProbes = 8
 
 // foundWork ends a search: the worker has a task to run. The last
 // searcher to find work wakes one more parked worker, because publishers

@@ -12,7 +12,7 @@
 //     workers and report rounds, steals, deque counts, and the other
 //     quantities the paper's analysis bounds.
 //
-//   - A real task runtime (NewRuntimeConfig / RunTasks) executing Go code
+//   - A real task runtime (RuntimeConfig{…} / RunTasks) executing Go code
 //     over worker goroutines with wall-clock latencies, in latency-hiding
 //     or blocking mode.
 //
@@ -138,9 +138,6 @@ type (
 	RuntimeStats = runtime.Stats
 	// RuntimeMode selects latency-hiding or blocking scheduling.
 	RuntimeMode = runtime.Mode
-	// StealEvent describes one successful steal for
-	// RuntimeConfig.OnSteal (thief, victim, items moved, locality).
-	StealEvent = runtime.StealEvent
 	// Ctx is a task's handle to the runtime.
 	Ctx = runtime.Ctx
 	// Future is the completion handle of a spawned task.
