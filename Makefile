@@ -3,7 +3,7 @@ GO ?= go
 # Core packages whose hot paths the race/vet gates guard.
 CORE := ./internal/deque/... ./internal/runtime/... ./internal/sched/...
 
-.PHONY: all build cross-build test race race-core vet lhws-vet lint chaos bench-runtime bench-io bench-io-smoke bench-goodput bench-goodput-smoke bench-smoke bench-repo-smoke ci figures clean
+.PHONY: all build cross-build test race race-core vet lhws-vet lint chaos bench-runtime bench-goodput bench-goodput-smoke bench-smoke bench-repo-smoke ci figures clean
 
 all: build
 
@@ -57,22 +57,6 @@ chaos:
 bench-runtime:
 	$(GO) test -run '^$$' -bench 'SpawnAwaitLadder|WideFanout|StealHeavySkew|ResumeStorm' -benchmem -benchtime 1s ./internal/runtime/
 
-# bench-io regenerates the real-socket record (BENCH_io.json): the echo
-# comparison (latency-hiding server >= 3x blocking throughput at C=64,
-# δ=50ms) plus the data-plane throughput sweep (pooled read path
-# allocation-free at steady state, vectored writes >= 1.15x scalar by
-# median paired ratio at C=4096; see EXPERIMENTS.md "Real-socket I/O"
-# and "I/O data-plane throughput").
-bench-io:
-	$(GO) run ./cmd/lhws-bench -exp io
-
-# bench-io-smoke is the CI form of the data-plane sweep: small load,
-# structural gates only (pooled allocates much less than malloc'd,
-# vectoring does not collapse throughput), no JSON — CI boxes are too
-# noisy for the full-scale margins.
-bench-io-smoke:
-	$(GO) run ./cmd/lhws-bench -exp iothrough -iosmoke
-
 # bench-goodput regenerates the overload-robustness record
 # (BENCH_goodput.json): at 4x offered load the shedding server's
 # admitted goodput must stay >= 70% of its 1x value while the
@@ -89,12 +73,13 @@ bench-goodput-smoke:
 
 # bench-smoke is the CI form: every benchmark compiles and runs once, and
 # the TestAllocs gates assert the pooled hot paths stay allocation-free
-# at steady state (at P=1 under AllocsPerRun, and at P=4 for the fan-out
-# and steal-skew shapes). No timing thresholds — CI boxes are too noisy
-# for ns/op gates; speed is judged by the repo benchmark.
+# at steady state (at P=1 under AllocsPerRun, at P=4 for the fan-out and
+# steal-skew shapes, and for the io data plane with 1 024 connections in
+# flight). No timing thresholds — CI boxes are too noisy for ns/op gates;
+# speed is judged by the repo benchmark.
 bench-smoke:
 	$(GO) test -run '^$$' -bench '.' -benchtime 1x ./internal/runtime/
-	$(GO) test -run 'TestAllocs' -count=1 ./internal/runtime/
+	$(GO) test -run 'TestAllocs' -count=1 ./internal/runtime/ ./internal/io/
 
 # bench-repo-smoke runs the repo benchmark's own tests (benchmark/ is a
 # nested module, invisible to the root `go test ./...`): metric arithmetic,
@@ -104,7 +89,7 @@ bench-repo-smoke:
 	cd benchmark && $(GO) test ./...
 
 # ci mirrors .github/workflows/ci.yml.
-ci: build cross-build lint vet test race chaos bench-smoke bench-io-smoke bench-goodput-smoke bench-repo-smoke
+ci: build cross-build lint vet test race chaos bench-smoke bench-goodput-smoke bench-repo-smoke
 
 figures:
 	$(GO) run ./cmd/lhws-bench -exp fig11 -svg figures

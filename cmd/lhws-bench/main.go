@@ -4,26 +4,17 @@
 //
 // Usage:
 //
-//	lhws-bench [-exp all] [-seed 1] [-markdown] [-memprofile FILE]
+//	lhws-bench [-exp all] [-seed 1] [-markdown]
 //	lhws-bench -exp fig11 [-delta 500] [-full] [-svg DIR]
 //	lhws-bench -exp greedy|bound|lemmas|steals|variants|potential|uwidth
 //	lhws-bench -exp wallclock|responsiveness|multiprog|scale
-//	lhws-bench -exp io [-ioout BENCH_io.json]
-//	lhws-bench -exp iothrough [-iosmoke]
 //	lhws-bench -exp goodput [-goodout BENCH_goodput.json] [-goodsmoke]
 //
 // Output is a fixed-width table per experiment plus a PASS/FAIL line for
 // the experiment's shape check. -markdown switches tables to Markdown for
-// pasting into documents. -exp all runs every experiment except
-// iothrough, which -exp io already includes. -exp io writes the
-// real-socket echo comparison (latency-hiding vs blocking throughput at
-// δ=50ms) plus the data-plane throughput sweep (pooled vs malloc'd
-// buffers, vectored vs scalar writes at C=4096) to -ioout as one
-// combined record. -exp iothrough runs just the data-plane sweep
-// without touching the JSON; -iosmoke shrinks it to CI smoke scale
-// with loose no-collapse gates. -exp goodput writes the overload sweep
-// to -goodout; -goodsmoke shrinks it to CI smoke scale and writes no
-// JSON.
+// pasting into documents. -exp all runs every experiment. -exp goodput
+// writes the overload sweep to -goodout; -goodsmoke shrinks it to CI
+// smoke scale and writes no JSON.
 package main
 
 import (
@@ -33,7 +24,6 @@ import (
 	"os"
 	"path/filepath"
 	goruntime "runtime"
-	"runtime/pprof"
 	"time"
 
 	"lhws/internal/experiments"
@@ -48,22 +38,16 @@ type tabler interface {
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment: fig11, greedy, bound, lemmas, steals, variants, potential, uwidth, wallclock, responsiveness, multiprog, scale, io, goodput, or all of those; iothrough runs only when named")
+		exp       = flag.String("exp", "all", "experiment: fig11, greedy, bound, lemmas, steals, variants, potential, uwidth, wallclock, responsiveness, multiprog, scale, goodput, or all of those")
 		deltaMS   = flag.Float64("delta", 0, "fig11 panel latency in ms (500, 50, 1); 0 runs all three panels")
 		full      = flag.Bool("full", false, "fig11 at the paper's full scale (n=5000) instead of the laptop scale (n=500)")
 		seed      = flag.Uint64("seed", 1, "random seed")
 		markdown  = flag.Bool("markdown", false, "render tables as Markdown")
 		svgDir    = flag.String("svg", "", "directory to write Figure-11 panels as SVG plots (fig11 only)")
-		jsonOutIO = flag.String("ioout", "BENCH_io.json", "output path for the -exp io JSON comparison")
-		ioSmoke   = flag.Bool("iosmoke", false, "iothrough at CI smoke scale (small load, no-collapse gates only, no JSON)")
 		goodOut   = flag.String("goodout", "BENCH_goodput.json", "output path for the -exp goodput JSON sweep")
 		goodSmoke = flag.Bool("goodsmoke", false, "goodput at CI smoke scale (tiny load, no-collapse gate only, no JSON)")
-		memProf   = flag.String("memprofile", "", "write an allocation profile for the run to this file (for chasing allocs/req regressions)")
 	)
 	flag.Parse()
-	if *memProf != "" {
-		goruntime.MemProfileRate = 16 // sample nearly every allocation
-	}
 
 	if goruntime.GOMAXPROCS(0) < 4 {
 		goruntime.GOMAXPROCS(4) // let runtime workers interleave for -exp wallclock
@@ -157,36 +141,6 @@ func main() {
 	if want("scale") {
 		run("high-P scaling (beyond the paper's sweep)", func() (tabler, error) { return experiments.Scale(*seed) })
 	}
-	if want("io") {
-		rec := &ioRecord{}
-		run("real-socket echo (latency hiding vs blocking, δ=50ms)", func() (tabler, error) {
-			r, err := experiments.IOBench(experiments.ScaledIOBench())
-			rec.Echo = r
-			return r, err
-		})
-		run("io data plane (pooled/vectored throughput, C=4096)", func() (tabler, error) {
-			r, err := experiments.IOThroughput(experiments.ScaledIOThroughput())
-			rec.Throughput = r
-			return r, err
-		})
-		if rec.Echo != nil && rec.Throughput != nil {
-			if werr := writeJSON(*jsonOutIO, rec); werr != nil {
-				fmt.Fprintf(os.Stderr, "json: %v\n", werr)
-				ok = false
-			}
-		}
-	}
-
-	if *exp == "iothrough" {
-		cfg := experiments.ScaledIOThroughput()
-		label := "io data plane (pooled/vectored throughput, C=4096)"
-		if *ioSmoke {
-			cfg = experiments.SmokeIOThroughput()
-			label = "io data plane (smoke)"
-		}
-		run(label, func() (tabler, error) { return experiments.IOThroughput(cfg) })
-	}
-
 	if want("goodput") {
 		cfg := experiments.ScaledGoodput()
 		label := "goodput under overload (shed vs noshed, 0.5x-4x)"
@@ -206,24 +160,13 @@ func main() {
 		})
 	}
 
-	if *memProf != "" {
-		if f, err := os.Create(*memProf); err != nil {
-			fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-		} else {
-			goruntime.GC()
-			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-			}
-			f.Close()
-		}
-	}
 	if !ok {
 		os.Exit(1)
 	}
 }
 
-// writeJSON writes one experiment record (BENCH_io.json,
-// BENCH_goodput.json) as indented JSON.
+// writeJSON writes the experiment record (BENCH_goodput.json) as indented
+// JSON.
 func writeJSON(path string, v any) error {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
@@ -234,15 +177,6 @@ func writeJSON(path string, v any) error {
 	}
 	fmt.Printf("wrote %s\n", path)
 	return nil
-}
-
-// ioRecord is the combined BENCH_io.json payload: the scheduling
-// comparison (echo, latency hiding vs blocking) and the data-plane
-// throughput sweep (pooled vs malloc'd buffers, vectored vs scalar
-// writes).
-type ioRecord struct {
-	Echo       *experiments.IOBenchResult      `json:"echo"`
-	Throughput *experiments.IOThroughputResult `json:"throughput"`
 }
 
 // writeFig11SVG renders one Figure-11 panel in the paper's plot

@@ -227,9 +227,11 @@ func (a *Controller) Inflight() int {
 }
 
 // gateWaiter is one suspended AcquireAccept caller. complete is the
-// idempotent completion callback of its AwaitExternal suspension;
-// released marks that the controller handed it a credit wake (so a
-// concurrent cancel does not double-remove).
+// idempotent completion callback of its AwaitExternal suspension, set
+// only when the waiter is queued. A canceled waiter that dropWaiter no
+// longer finds in the queue but whose complete is set was popped by a
+// release (or by Drain, which dropWaiter checks separately), so its
+// credit wake is in flight and is forwarded to the next waiter.
 type gateWaiter struct {
 	complete func(struct{}, error)
 }

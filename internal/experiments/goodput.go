@@ -397,6 +397,31 @@ func serveGoodput(hc *runtime.Ctx, cn *io.Conn, cfg GoodputConfig, ctl *admit.Co
 	cn.Write(hc, []byte{reply})
 }
 
+// readFullRaw reads exactly len(p) bytes from a plain net.Conn (the load
+// generator's side).
+func readFullRaw(nc net.Conn, p []byte) (int, error) {
+	for off := 0; off < len(p); {
+		n, err := nc.Read(p[off:])
+		off += n
+		if err != nil {
+			return off, err
+		}
+	}
+	return len(p), nil
+}
+
+// readFullConn reads exactly len(p) bytes from a task-side Conn.
+func readFullConn(c *runtime.Ctx, cn *io.Conn, p []byte) error {
+	for off := 0; off < len(p); {
+		n, err := cn.Read(c, p[off:])
+		off += n
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Table renders the sweep.
 func (r *GoodputResult) Table() *stats.Table {
 	t := stats.NewTable("mode", "load", "offered", "ok", "good", "rej", "shed", "fail",

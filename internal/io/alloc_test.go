@@ -1,7 +1,14 @@
 package io
 
 import (
+	"bytes"
+	stdio "io"
+	"math"
 	"net"
+	goruntime "runtime"
+	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -173,5 +180,163 @@ func TestAllocsReadBufSteadyState(t *testing.T) {
 	const budget = 0.1
 	if avg > budget {
 		t.Fatalf("pooled ReadBuf allocates %.2f objects per op steady-state, budget %.1f", avg, budget)
+	}
+}
+
+// TestAllocsHighConnFlush holds the data plane's allocation contract
+// where the P = 1 gates above cannot look: 1 024 connections with one
+// request in flight each, so about a thousand handler tasks sit suspended
+// at once and overflow the worker-local caches into their sync.Pool
+// backstops (DESIGN.md §8, §13). A request is one pooled ReadBuf and a
+// four-fragment QueueWrite + Flush reply. The count is MemStats.Mallocs
+// per completed request over three measured windows after a warm one,
+// process-wide (the plain-goroutine clients included); the least window
+// must be ≤ 0.1, and the buffer pool must serve at least half of its
+// gets by recycling.
+func TestAllocsHighConnFlush(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("sync.Pool drops objects under -race")
+	}
+	const conns, frags, fragBytes = 1024, 4, 64
+	// The warm window is long: the deques, resumed-set buffers and pools
+	// keep growing toward their working set for about a second after the
+	// last conn starts.
+	const warm, window = time.Second, 300 * time.Millisecond
+	var lim syscall.Rlimit
+	if err := syscall.Getrlimit(syscall.RLIMIT_NOFILE, &lim); err != nil || lim.Cur < 2*conns+64 {
+		t.Skipf("needs RLIMIT_NOFILE >= %d (have %d, err %v)", 2*conns+64, lim.Cur, err)
+	}
+	reply := make([][]byte, frags)
+	for i := range reply {
+		reply[i] = bytes.Repeat([]byte{byte('a' + i)}, fragBytes)
+	}
+
+	addrCh := make(chan string, 1)
+	done := make(chan struct{})
+	var completed atomic.Int64
+	var perReq [4]float64 // the warm window, then the three measured ones
+	var gets, news uint64
+	go func() { // the load: plain goroutines, not tasks
+		defer close(done)
+		addr, ok := <-addrCh
+		if !ok {
+			return
+		}
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		ncs := make([]net.Conn, 0, conns)
+		defer func() {
+			stop.Store(true)
+			for _, nc := range ncs {
+				nc.Close()
+			}
+			wg.Wait()
+		}()
+		for i := 0; i < conns; i++ {
+			nc, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Errorf("dial %d: %v", i, err)
+				return
+			}
+			ncs = append(ncs, nc)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				req, in := []byte{'r'}, make([]byte, frags*fragBytes)
+				for !stop.Load() {
+					if _, err := nc.Write(req); err != nil {
+						return
+					}
+					if _, err := stdio.ReadFull(nc, in); err != nil {
+						return
+					}
+					completed.Add(1)
+				}
+			}()
+		}
+		for start := time.Now(); completed.Load() < conns; time.Sleep(time.Millisecond) {
+			if time.Since(start) > 30*time.Second {
+				t.Errorf("only %d requests completed 30s after dialing %d conns", completed.Load(), conns)
+				return
+			}
+		}
+		var ms goruntime.MemStats
+		var gets0, news0 uint64
+		for i := range perReq {
+			if i == 1 { // pool traffic counts from the first measured window
+				gets0, news0, _ = bufpool.Stats()
+			}
+			goruntime.ReadMemStats(&ms)
+			m0, c0 := ms.Mallocs, completed.Load()
+			if i == 0 {
+				time.Sleep(warm)
+			} else {
+				time.Sleep(window)
+			}
+			goruntime.ReadMemStats(&ms)
+			if dc := completed.Load() - c0; dc > 0 {
+				perReq[i] = float64(ms.Mallocs-m0) / float64(dc)
+			} else {
+				perReq[i] = math.Inf(1)
+			}
+		}
+		gets1, news1, _ := bufpool.Stats()
+		gets, news = gets1-gets0, news1-news0
+	}()
+
+	_, err := runtime.Run(runtime.Config{Workers: 4, Mode: runtime.LatencyHiding, Deadline: 120 * time.Second},
+		func(c *runtime.Ctx) {
+			l, lerr := Listen(c, "tcp", "127.0.0.1:0")
+			if lerr != nil {
+				t.Errorf("listen: %v", lerr)
+				close(addrCh)
+				return
+			}
+			addrCh <- l.Addr().String()
+			srv := c.Spawn(func(cc *runtime.Ctx) {
+				for {
+					cn, aerr := l.Accept(cc)
+					if aerr != nil {
+						return
+					}
+					cc.Spawn(func(hc *runtime.Ctx) {
+						defer cn.Close()
+						for {
+							pb, rerr := cn.ReadBuf(hc, 256)
+							if rerr != nil {
+								return
+							}
+							n := pb.Len()
+							pb.Release()
+							for ; n > 0; n-- {
+								for _, f := range reply {
+									cn.QueueWrite(f)
+								}
+								if _, werr := cn.Flush(hc); werr != nil {
+									return
+								}
+							}
+						}
+					})
+				}
+			})
+			runtime.AwaitChan[struct{}](c, done)
+			l.Close()
+			srv.Await(c)
+		})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if t.Failed() {
+		return
+	}
+	least := min(perReq[1], perReq[2], perReq[3])
+	t.Logf("allocs/req: warm %.3f, measured %.3f %.3f %.3f; bufpool gets %d, fresh %d",
+		perReq[0], perReq[1], perReq[2], perReq[3], gets, news)
+	if least > 0.1 {
+		t.Errorf("%.3f allocs per request at C=%d (least of three windows), want <= 0.1", least, conns)
+	}
+	if gets == 0 || float64(gets-news) < 0.5*float64(gets) {
+		t.Errorf("bufpool recycled %d of %d gets, want >= 50%%", gets-news, gets)
 	}
 }

@@ -345,33 +345,66 @@ func TestInlineFlushNilsQueue(t *testing.T) {
 }
 
 // TestInlineWriteNotSyscallConn: a conn without a file descriptor
-// (net.Pipe) has no inline attempt and writes through the waiter.
+// (net.Pipe) has no inline attempt and writes through the waiter, one
+// suspension per write op. That makes the vector's worth countable: four
+// fragments written one by one suspend four times, and the same four
+// queued and flushed suspend once.
 func TestInlineWriteNotSyscallConn(t *testing.T) {
-	a, b := net.Pipe()
-	defer b.Close()
-	got := make(chan []byte, 1)
-	go func() {
-		buf, _ := goio.ReadAll(b)
-		got <- buf
-	}()
-	st, err := runtime.Run(inlineCfg(1), func(c *runtime.Ctx) {
-		cn, werr := Wrap(c, a)
-		if werr != nil {
-			t.Errorf("Wrap: %v", werr)
-			return
-		}
-		defer cn.Close()
-		if n, werr := cn.Write(c, []byte("piped")); n != 5 || werr != nil {
-			t.Errorf("Write = %d, %v; want 5, nil", n, werr)
-		}
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if st.Suspensions != 1 {
-		t.Errorf("Suspensions = %d, want 1 (the write)", st.Suspensions)
-	}
-	if buf := <-got; string(buf) != "piped" {
-		t.Errorf("peer read %q, want %q", buf, "piped")
+	frags := [][]byte{[]byte("pi"), []byte("p"), []byte("e"), []byte("d")}
+	for _, tc := range []struct {
+		name        string
+		suspensions int64
+		write       func(c *runtime.Ctx, cn *Conn) (int, error)
+	}{
+		{"one write", 1, func(c *runtime.Ctx, cn *Conn) (int, error) {
+			return cn.Write(c, []byte("piped"))
+		}},
+		{"four writes", 4, func(c *runtime.Ctx, cn *Conn) (int, error) {
+			total := 0
+			for _, f := range frags {
+				n, err := cn.Write(c, f)
+				total += n
+				if err != nil {
+					return total, err
+				}
+			}
+			return total, nil
+		}},
+		{"four queued, one flush", 1, func(c *runtime.Ctx, cn *Conn) (int, error) {
+			for _, f := range frags {
+				cn.QueueWrite(f)
+			}
+			return cn.Flush(c)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := net.Pipe()
+			defer b.Close()
+			got := make(chan []byte, 1)
+			go func() {
+				buf, _ := goio.ReadAll(b)
+				got <- buf
+			}()
+			st, err := runtime.Run(inlineCfg(1), func(c *runtime.Ctx) {
+				cn, werr := Wrap(c, a)
+				if werr != nil {
+					t.Errorf("Wrap: %v", werr)
+					return
+				}
+				defer cn.Close()
+				if n, werr := tc.write(c, cn); n != 5 || werr != nil {
+					t.Errorf("wrote %d, %v; want 5, nil", n, werr)
+				}
+			})
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if st.Suspensions != tc.suspensions {
+				t.Errorf("Suspensions = %d, want %d (one per write op)", st.Suspensions, tc.suspensions)
+			}
+			if buf := <-got; string(buf) != "piped" {
+				t.Errorf("peer read %q, want %q", buf, "piped")
+			}
+		})
 	}
 }

@@ -3,8 +3,11 @@ package io
 import (
 	"bytes"
 	"fmt"
+	stdio "io"
+	"net"
 	"os"
 	goruntime "runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -153,6 +156,104 @@ func TestEchoBlockingMode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+}
+
+// TestEchoHidingBeatsBlocking is the paper's central claim on real
+// sockets. One echo server — an accept loop plus a handler task per
+// connection, each request costing a wall-clock δ before its reply —
+// runs unchanged in both modes, driven by C plain-goroutine clients. In
+// Blocking mode every socket wait and every δ holds a worker; the root's
+// AwaitChan and the accept loop pin two of the P = 4, so two handlers run
+// at a time and the wall is about C/2 · rounds · δ. Latency hiding
+// overlaps every connection's δ, so its wall is about rounds · δ. The
+// gate is 3×; measured about 7.5×.
+func TestEchoHidingBeatsBlocking(t *testing.T) {
+	const conns, rounds, delta = 16, 2, 20 * time.Millisecond
+	bl := echoWall(t, runtime.Blocking, conns, rounds, delta)
+	lh := echoWall(t, runtime.LatencyHiding, conns, rounds, delta)
+	t.Logf("C=%d, %d rounds, δ=%v: blocking %v, latency hiding %v (%.1fx)",
+		conns, rounds, delta, bl, lh, float64(bl)/float64(lh))
+	if lh*3 > bl {
+		t.Errorf("latency hiding %v is not 3x faster than blocking %v", lh, bl)
+	}
+}
+
+// echoWall serves conns clients of rounds δ-delayed echoes each under
+// mode and returns the clients' wall time from first dial to last reply.
+func echoWall(t *testing.T, mode runtime.Mode, conns, rounds int, delta time.Duration) time.Duration {
+	const frame = 16
+	addrCh := make(chan string, 1)
+	done := make(chan struct{})
+	var wall time.Duration
+	go func() { // the load: plain goroutines, not tasks
+		defer close(done)
+		addr, ok := <-addrCh
+		if !ok {
+			return
+		}
+		start := time.Now()
+		var wg sync.WaitGroup
+		for i := 0; i < conns; i++ {
+			wg.Add(1)
+			go func(id byte) {
+				defer wg.Done()
+				nc, err := net.Dial("tcp", addr)
+				if err != nil {
+					t.Errorf("%v: dial: %v", mode, err)
+					return
+				}
+				defer nc.Close()
+				out, in := bytes.Repeat([]byte{id}, frame), make([]byte, frame)
+				for r := 0; r < rounds; r++ {
+					if _, err := nc.Write(out); err != nil {
+						t.Errorf("%v: client %d write: %v", mode, id, err)
+						return
+					}
+					if _, err := stdio.ReadFull(nc, in); err != nil || !bytes.Equal(in, out) {
+						t.Errorf("%v: client %d read %v, %v; want its own frame", mode, id, in, err)
+						return
+					}
+				}
+			}(byte(i))
+		}
+		wg.Wait()
+		wall = time.Since(start)
+	}()
+	_, err := runtime.Run(runtime.Config{Workers: 4, Mode: mode, Deadline: 60 * time.Second},
+		func(c *runtime.Ctx) {
+			l, lerr := Listen(c, "tcp", "127.0.0.1:0")
+			if lerr != nil {
+				t.Errorf("listen: %v", lerr)
+				close(addrCh)
+				return
+			}
+			addrCh <- l.Addr().String()
+			srv := c.Spawn(func(cc *runtime.Ctx) {
+				for {
+					cn, aerr := l.Accept(cc)
+					if aerr != nil {
+						return
+					}
+					cc.Spawn(func(hc *runtime.Ctx) {
+						defer cn.Close()
+						buf := make([]byte, frame)
+						for readFull(hc, cn, buf) == nil {
+							hc.Latency(delta)
+							if _, werr := cn.Write(hc, buf); werr != nil {
+								return
+							}
+						}
+					})
+				}
+			})
+			runtime.AwaitChan[struct{}](c, done)
+			l.Close()
+			srv.Await(c)
+		})
+	if err != nil {
+		t.Fatalf("%v: Run: %v", mode, err)
+	}
+	return wall
 }
 
 // TestDialError: a dial to a dead port must surface the OS error, not

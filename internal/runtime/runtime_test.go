@@ -202,7 +202,8 @@ func TestLatencyHidingOverlapsWaits(t *testing.T) {
 }
 
 // TestSuspensionStats: latency-hiding mode records suspensions; blocking
-// mode records none (it blocks instead).
+// mode records none (it blocks instead), so it never registers a resumed
+// deque and the shared loop's drainResumed never injects a batch there.
 func TestSuspensionStats(t *testing.T) {
 	body := func(c *Ctx) {
 		var futs []*Future
@@ -224,8 +225,8 @@ func TestSuspensionStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bl.Suspensions != 0 {
-		t.Errorf("blocking suspensions = %d, want 0", bl.Suspensions)
+	if bl.Suspensions != 0 || bl.ResumeBatches != 0 {
+		t.Errorf("blocking suspensions = %d, resume batches = %d; want 0 and 0", bl.Suspensions, bl.ResumeBatches)
 	}
 }
 

@@ -65,21 +65,23 @@ func newWorker(rt *runtimeState, id int, r *rng.RNG) *worker {
 		stealBuf: make([]deque.Item, DefaultStealBatch), sema: make(chan bool, 1)}
 }
 
-// loop is the latency-hiding scheduling loop (Figure 3). It parks only
+// loop is the scheduling loop of both modes (Figure 3). It parks only
 // when, after announcing, nothing is runnable, resumable or stealable
 // (see idle): a worker blocked while a ready or resumed vertex exists is
 // the idle time Theorem 2 charges to the scheduler. The only other
 // sanctioned wait is the task-grant handoff in runTask, justified at its
 // call site.
 //
+// Blocking mode is the paper's baseline, a policy branch here: its worker
+// keeps one permanent deque, so it never retires or switches, and its
+// tasks never suspend, so no resumed deque is ever registered and
+// drainResumed costs it one atomic load.
+//
 //lhws:nonblocking
 //lhws:owner the worker-loop goroutine is the unique owner of its active deque
 func (w *worker) loop() {
 	w.adoptDeque(newRdeque(w))
-	if w.rt.cfg.Mode == Blocking {
-		w.loopBlocking()
-		return
-	}
+	hiding := w.rt.cfg.Mode != Blocking
 	for {
 		w.drainResumed()
 		t := w.assigned
@@ -91,44 +93,14 @@ func (w *worker) loop() {
 		}
 		if t != nil {
 			w.foundWork()
-			w.runTask(t) //lhws:allowblock the grant handoff parks the loop only while its task runs; the task yields back at every scheduling point
+			w.runTask(t) //lhws:allowblock the grant handoff parks the loop only while its task runs: a latency-hiding task yields back at every scheduling point, and a blocking-mode task runs to completion on the grant, the baseline being measured
 			continue
 		}
-		w.retireActive()
-		if w.trySwitch() {
-			continue
-		}
-		if w.trySteal() {
-			continue
-		}
-		if w.rt.finished() {
-			return
-		}
-		w.idle()
-	}
-}
-
-// loopBlocking is the baseline work-stealing loop. It is held to the
-// same parking discipline as loop and parks through the same idle: in
-// Blocking mode the latency cost lands inside tasks (time.Sleep on the
-// worker's goroutine during runTask), not in the scheduling loop itself.
-//
-//lhws:nonblocking
-//lhws:owner the worker-loop goroutine is the unique owner of its single deque
-func (w *worker) loopBlocking() {
-	for {
-		t := w.assigned
-		w.assigned = nil
-		if t == nil {
-			if it, ok := w.active.q.PopBottom(); ok {
-				t = w.resolveItem(it)
+		if hiding {
+			w.retireActive()
+			if w.trySwitch() {
+				continue
 			}
-		}
-		if t != nil {
-			w.foundWork()
-			//lhws:allowblock blocking-mode tasks run to completion on the grant; that cost is the baseline being measured
-			w.runTask(t)
-			continue
 		}
 		if w.trySteal() {
 			continue
