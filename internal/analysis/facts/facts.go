@@ -34,7 +34,6 @@ const (
 var maySuspendLeaves = map[string]string{
 	RuntimePath + ".Future.Await":         "awaits a future",
 	RuntimePath + ".Future.AwaitErr":      "awaits a future",
-	RuntimePath + ".Future.awaitConsume":  "awaits a future",
 	RuntimePath + ".Future.awaitBlocking": "parks the worker until the future completes (blocking mode)",
 	RuntimePath + ".Value.Await":          "awaits a future",
 	RuntimePath + ".Value.AwaitErr":       "awaits a future",

@@ -13,9 +13,11 @@
 //     Lê et al. (PPoPP 2013) expressed through Go's sync/atomic. This is
 //     the deque used by the real runtime in internal/runtime.
 //
-//   - Locked: a mutex-protected slice-backed deque. The round-based
-//     simulator arbitrates all accesses itself and the examples favour
-//     clarity, so the locked deque's simplicity is a feature there.
+//   - Locked: a mutex-protected slice-backed deque, the obviously correct
+//     reference implementation that the conformance and differential tests
+//     check ChaseLev against. No scheduler uses it (the round-based
+//     simulator in internal/sched keeps its own deque), and the noblock
+//     analyzer bans it from the runtime's hot paths.
 //
 // Both satisfy the Deque interface, and both are exercised by the same
 // conformance and property-based test suites.

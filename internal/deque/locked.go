@@ -3,9 +3,9 @@ package deque
 import "sync"
 
 // Locked is a mutex-protected slice-backed deque. It trades throughput for
-// obviousness and is used by the round-based simulator (which serializes
-// accesses anyway) and by tests as a reference implementation for
-// differential testing against ChaseLev.
+// obviousness: it is the reference implementation the conformance and
+// differential tests check ChaseLev against. Every operation takes a
+// mutex, so the noblock analyzer bans it from the runtime's hot paths.
 type Locked struct {
 	mu    sync.Mutex
 	items []Item

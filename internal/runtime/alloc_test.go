@@ -8,42 +8,22 @@ import (
 )
 
 // Allocation-regression gates for the pooled hot paths. These are the
-// contract the pool layer exists to uphold: once the free lists are warm,
-// a scheduling quantum costs zero heap allocations — spawn, inline join,
-// suspension, resume injection, pfor split, and shell recycling all run on
-// recycled objects. testing.AllocsPerRun pins GOMAXPROCS to 1 for the
-// measured runs, which the cooperative handoff protocol tolerates (every
-// wait below is a channel handoff or a spin that yields the processor).
+// contract the pool layer exists to uphold: once the free lists and pools
+// are warm, a scheduling quantum costs no heap allocation beyond the
+// user-visible Future of a Spawn — inline join, suspension, resume
+// injection, pfor split, and shell recycling all run on recycled objects.
+// testing.AllocsPerRun pins GOMAXPROCS to 1 for the measured runs, which
+// the cooperative handoff protocol tolerates (every wait below is a
+// channel handoff or a spin that yields the processor).
 
-// TestAllocsSpawnAwaitSteadyState gates the internal spawn/await quantum
-// (spawnPooled + awaitConsume, the path For rides) at zero steady-state
-// allocations. On one worker the child is never stolen, so this is the
-// spawn → pop → call → recycle cycle of an inline join; the suspension
-// path has its own gate below.
-func TestAllocsSpawnAwaitSteadyState(t *testing.T) {
-	_, err := Run(benchConfig(1), func(c *Ctx) {
-		for i := 0; i < 64; i++ { // warm the shell, future, waiter, and node pools
-			c.spawnPooled(benchLeaf).awaitConsume(c)
-		}
-		if avg := testing.AllocsPerRun(200, func() {
-			if werr := c.spawnPooled(benchLeaf).awaitConsume(c); werr != nil {
-				t.Fatalf("await: %v", werr)
-			}
-		}); avg != 0 {
-			t.Errorf("pooled spawn/await allocates %.2f objects/op at steady state, want 0", avg)
-		}
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-}
-
-// TestAllocsStolenChildAwaitSteadyState is the same quantum with the child
-// forced onto another worker, so the join is a real suspension: steal,
-// fresh deque, waiter, epoch claim, resumed set, re-injection and the grant
-// that resumes the parent — all on recycled objects. The child holds its
-// completion back until the parent has registered as the future's waiter,
-// which makes every measured round take the suspension path.
+// TestAllocsStolenChildAwaitSteadyState is the spawn/await quantum of
+// TestAllocsPublicSpawnSteadyState with the child forced onto another
+// worker, so the join is a real suspension: steal, fresh deque, waiter,
+// epoch claim, resumed set, re-injection and the grant that resumes the
+// parent — all on recycled objects, leaving only the Future. The child
+// holds its completion back until the parent has registered as the
+// future's waiter, which makes every measured round take the suspension
+// path.
 //
 // Every round is also a full park → wake → steal cycle, twice over: the
 // parent spawns only once the other worker has parked, so the spawn's wake
@@ -52,13 +32,13 @@ func TestAllocsSpawnAwaitSteadyState(t *testing.T) {
 // parent back. Blocking on the semaphore, the token and the re-check sweep
 // allocate nothing.
 func TestAllocsStolenChildAwaitSteadyState(t *testing.T) {
-	var fut *Future
 	var host *task
 	stolenChild := func(cc *Ctx) {
 		if cc.t == host {
 			t.Error("child ran on the parent's goroutine; the gate needs it stolen")
 			return
 		}
+		fut := cc.t.fut
 		for {
 			fut.mu.Lock()
 			parked := fut.w0 != nil
@@ -77,23 +57,22 @@ func TestAllocsStolenChildAwaitSteadyState(t *testing.T) {
 			for thief := c.t.rt.workers[1-c.t.w.id]; !thief.parked.Load(); {
 				goruntime.Gosched()
 			}
-			fut = c.t.w.acquireFuture() // published before the spawn makes the child stealable
-			c.spawn(stolenChild, fut)
+			fut := c.Spawn(stolenChild)
 			for c.t.w.active.q.Len() > 0 { // until the other worker steals it
 				goruntime.Gosched()
 			}
-			if werr := fut.awaitConsume(c); werr != nil {
+			if werr := fut.AwaitErr(c); werr != nil {
 				t.Errorf("await: %v", werr)
 			}
 		}
-		// Shells and nodes are acquired here and released on the thief, so
-		// steady state begins only once the thief's local caches are full
-		// and its releases overflow into the run's pools.
-		for i := 0; i < 2*nodeCacheCap; i++ {
+		// Shells are acquired here and released on the thief, so steady
+		// state begins only once the thief's local list is full and its
+		// releases overflow into the run's pool.
+		for i := 0; i < 2*taskCacheCap; i++ {
 			round()
 		}
-		if avg := testing.AllocsPerRun(200, round); avg != 0 && !raceDetectorEnabled {
-			t.Errorf("pooled spawn/await of a stolen child allocates %.2f objects/op at steady state, want 0", avg)
+		if avg := testing.AllocsPerRun(200, round); avg > 1 && !raceDetectorEnabled {
+			t.Errorf("spawn/await of a stolen child allocates %.2f objects/op at steady state, want <= 1 (the Future)", avg)
 		}
 	})
 	if err != nil {
@@ -242,7 +221,7 @@ func TestAllocsResumeInjectionSteadyState(t *testing.T) {
 		}
 		round() // warm: park every consumer, size the queues and buffers
 		round()
-		if avg := testing.AllocsPerRun(50, round); avg != 0 {
+		if avg := testing.AllocsPerRun(50, round); avg != 0 && !raceDetectorEnabled {
 			t.Errorf("resume-injection round allocates %.2f objects/round at steady state, want 0", avg)
 		}
 		work.Close()

@@ -10,9 +10,7 @@ import (
 // Future is the completion handle of a spawned task.
 //
 // Futures returned by Spawn are heap-allocated once and never recycled —
-// the caller may hold them indefinitely. The internal spawnPooled /
-// awaitConsume pair (structured fork-join, benchmarks) recycles futures
-// through the worker free lists instead; see pool.go for the contract.
+// the caller may hold them indefinitely.
 type Future struct {
 	mu   sync.Mutex
 	cond sync.Cond // lazily targets mu; blocking-mode waits only
@@ -41,10 +39,10 @@ func newFuture() *Future {
 
 // complete marks the future done with the child's outcome, resumes
 // suspended waiters (latency-hiding mode), and wakes blocked workers
-// (blocking mode). Waiters are delivered while f.mu is held so the
-// overflow backing array can be truncated and reused by a pooled future's
-// next life; that is safe because deliver/wake take only leaf locks
-// (injector, suspension registry, deque, worker) and never a Future's.
+// (blocking mode). Waiters are delivered while f.mu is held, so a racing
+// cancelWait either dequeues its waiter first or finds it consumed; that
+// is safe because deliver/wake take only leaf locks (injector, suspension
+// registry, deque, worker) and never a Future's.
 //
 //lhws:nosuspend
 func (f *Future) complete(err error) {
@@ -60,11 +58,10 @@ func (f *Future) complete(err error) {
 		f.w0 = nil
 		wt.deliver(faultpoint.ResumeInject)
 	}
-	for i, wt := range f.overflow {
-		f.overflow[i] = nil
+	for _, wt := range f.overflow {
 		wt.deliver(faultpoint.ResumeInject)
 	}
-	f.overflow = f.overflow[:0]
+	f.overflow = nil
 	f.mu.Unlock()
 }
 
@@ -187,10 +184,11 @@ func (f *Future) AwaitErr(c *Ctx) error {
 // pushed in, and only a match is popped. (Popping and pushing back instead
 // stores to the deque's bottom twice, taking its cache line from every
 // polling thief; on the serve workload, where each request's first join
-// finds a sibling at the bottom, that cost ≈4 % of throughput.) Nodes are
-// pooled, so a matching identity can be a recycled node around another
-// task: the popped item is checked for real and pushed back if it is not
-// the fresh child.
+// finds a sibling at the bottom, that cost ≈4 % of throughput.) A node is
+// its task shell's own, and shells are recycled, so a matching identity
+// can be the child re-injected after it started or the shell's next life:
+// the popped item is checked for real and pushed back if it is not the
+// fresh child.
 //
 //lhws:owner the awaiting task holds its worker's owner role between resume and report; a popped item that is not the awaited child is pushed straight back
 func (c *Ctx) popUnstolen(f *Future) *task {
@@ -225,17 +223,6 @@ func (c *Ctx) helpOne() bool {
 	}
 	c.runInline(c.t.w.resolveItem(it))
 	return true
-}
-
-// awaitConsume awaits the future and returns it to the worker's free
-// list. Only futures created by spawnPooled may be consumed, exactly
-// once, by their single awaiter; see pool.go. If the await unwinds
-// (cancellation), the future is simply not recycled — the child may
-// still complete it safely.
-func (f *Future) awaitConsume(c *Ctx) error {
-	err := f.AwaitErr(c)
-	c.t.w.releaseFuture(f)
-	return err
 }
 
 func (f *Future) awaitBlocking(c *Ctx) error {

@@ -96,26 +96,32 @@ func TestResumedSingletonIsNotRerun(t *testing.T) {
 }
 
 // TestRecycledNodeIdentityIsNotTrusted: the join's peek compares node
-// identities, and nodes are pooled — the node a started child was pushed in
-// can come back around a different task. A match must still be checked
-// after the pop, and a wrong item pushed back.
+// identities, and a singleton node is its task shell's own — when a
+// finished child's shell is recycled into the next spawn, the awaited
+// future's node sits at the bottom around a different task. A match must
+// still be checked after the pop, and the wrong item pushed back.
+//
+// At P = 1 the finished child's shell is the top of the worker's task
+// free list, so the next spawn reuses it deterministically (also under
+// -race: the free list is a slice, not a sync.Pool).
 func TestRecycledNodeIdentityIsNotTrusted(t *testing.T) {
 	var other atomic.Int64
 	st, err := Run(benchConfig(1), func(c *Ctx) {
 		started := NewChan[int](0)
-		first := c.Spawn(func(cc *Ctx) {
-			started.Send(cc, 1)
-			cc.Latency(2 * time.Millisecond)
-		})
-		started.Recv(c) // the child starts; its node goes back to the free list
-		second := c.Spawn(func(cc *Ctx) {
-			if cc.t == c.t {
-				t.Error("a task that merely reused the awaited child's node ran as a call")
-			}
-			other.Add(1)
-		})
+		first := c.Spawn(func(cc *Ctx) { started.Send(cc, 1) })
+		// The root suspends; the worker runs the child to completion and
+		// recycles its shell before the root resumes.
+		started.Recv(c)
+		second := c.Spawn(func(*Ctx) { other.Add(1) })
 		if first.nd != second.nd {
-			t.Errorf("free list did not hand the first child's node to the second spawn; the hazard went untested")
+			t.Fatal("the second spawn did not reuse the first child's shell; the hazard went untested")
+		}
+		if got := c.popUnstolen(first); got != nil {
+			t.Error("popUnstolen returned a task that merely reused the awaited child's node")
+			c.runInline(got) // keep the run finishing
+		}
+		if n := c.t.w.active.q.Len(); n != 1 {
+			t.Errorf("deque holds %d items after the refused pop, want the second task pushed back", n)
 		}
 		first.Await(c)
 		second.Await(c)
@@ -123,8 +129,9 @@ func TestRecycledNodeIdentityIsNotTrusted(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if other.Load() != 1 || st.InlineJoins != 0 {
-		t.Errorf("second task ran %d times, InlineJoins=%d; want 1 and 0", other.Load(), st.InlineJoins)
+	// The second task's own join is a light edge: it is the fresh child.
+	if other.Load() != 1 || st.InlineJoins != 1 {
+		t.Errorf("second task ran %d times, InlineJoins=%d; want 1 and 1", other.Load(), st.InlineJoins)
 	}
 }
 

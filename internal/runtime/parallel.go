@@ -19,11 +19,9 @@ func For(c *Ctx, lo, hi, grain int, body func(*Ctx, int)) {
 func forRange(c *Ctx, lo, hi, grain int, body func(*Ctx, int)) {
 	for hi-lo > grain {
 		mid := lo + (hi-lo)/2
-		// Structured join: the future cannot escape this frame, so it may
-		// come from (and return to) the worker's future free list.
-		right := c.spawnPooled(func(cc *Ctx) { forRange(cc, mid, hi, grain, body) })
+		right := c.Spawn(func(cc *Ctx) { forRange(cc, mid, hi, grain, body) })
 		forRange(c, lo, mid, grain, body)
-		right.awaitConsume(c)
+		right.Await(c)
 		return
 	}
 	for i := lo; i < hi; i++ {

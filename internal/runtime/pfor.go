@@ -36,23 +36,25 @@ type pforBatch struct {
 // *pforNode — the Chase–Lev cells are atomic.Values, which require one
 // consistent concrete type — in one of two shapes:
 //
-//   - singleton: t non-nil, wrapping one spawned or resumed task;
+//   - singleton: t non-nil, wrapping one spawned or resumed task; it is
+//     the task's own node (task.node), so a spawn takes nothing from a
+//     pool and a task is on at most one deque at a time;
 //   - range: t nil, the half-open range [lo,hi) of batch b.
 //
-// Nodes are pooled (worker-local free lists); a node is on at most one
-// deque and is consumed (recycled) by whoever pops or steals it.
+// Range nodes are recycled through the run's pool; a node is on at most
+// one deque and is consumed by whoever pops or steals it.
 type pforNode struct {
 	t      *task // non-nil: a singleton, no batch
 	b      *pforBatch
 	lo, hi int32
 }
 
-// newTaskNode wraps a single task for the hot spawn/inject path.
+// newTaskNode returns t's own node for the hot spawn/inject path.
 // Owner-role access only.
 //
 //lhws:nonblocking
 func (w *worker) newTaskNode(t *task) *pforNode {
-	nd := w.getNode()
+	nd := &t.node
 	nd.t = t
 	return nd
 }
@@ -86,8 +88,6 @@ func (w *worker) newBatchNode(ts []*task) *pforNode {
 func (w *worker) resolveItem(it deque.Item) *task {
 	nd := it.(*pforNode)
 	if t := nd.t; t != nil {
-		nd.t = nil
-		w.putNode(nd)
 		return t
 	}
 	b := nd.b

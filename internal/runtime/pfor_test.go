@@ -136,8 +136,8 @@ func TestPforStealLeavesHalfRange(t *testing.T) {
 
 // TestPforBatchRecycledAfterLastExtract checks the live-counter release:
 // the extractor that takes the batch's live count to zero returns the
-// batch header and its task slice to the worker caches, with every task
-// entry nil'd first.
+// batch's task slice to the worker's slice cache with every task entry
+// nil'd first (the header goes to the run's pool).
 func TestPforBatchRecycledAfterLastExtract(t *testing.T) {
 	const n = 5
 	ws := harnessWorkers(1)
@@ -149,12 +149,6 @@ func TestPforBatchRecycledAfterLastExtract(t *testing.T) {
 	w.active.q.PushBottom(w.newBatchNode(append([]*task(nil), tasks...)))
 	if got := len(drainOwner(w)); got != n {
 		t.Fatalf("drained %d tasks, want %d", got, n)
-	}
-	if len(w.batchCache) != 1 {
-		t.Fatalf("batch header not recycled: batchCache has %d entries, want 1", len(w.batchCache))
-	}
-	if b := w.batchCache[0]; b.tasks != nil || b.live.Load() != 0 {
-		t.Fatalf("recycled batch not reset: tasks=%v live=%d", b.tasks, b.live.Load())
 	}
 	if len(w.sliceCache) != 1 {
 		t.Fatalf("batch task slice not recycled: sliceCache has %d entries, want 1", len(w.sliceCache))

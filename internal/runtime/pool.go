@@ -2,16 +2,31 @@ package runtime
 
 import "sync"
 
-// This file is the hot-path object recycling layer. Per scheduling
-// quantum the runtime used to allocate a task struct, two channels, a
-// goroutine stack, a Future (plus its cond), a waiter per suspension, and
-// a fresh Chase–Lev deque per successful steal. All of those are now
-// recycled through two tiers:
+// This file is the hot-path object recycling layer. Lemma 1 charges a
+// scheduling quantum O(1) work; recycling keeps that O(1) allocation-free
+// once warm. The policy is one tier per kind, and that tier is the run's
+// sync.Pool (already per-P) wherever a pool can serve:
 //
-//   - worker-local free lists (the fields on worker below), touched only
-//     while holding the worker's owner role, so they need no locks;
-//   - per-run sync.Pools as overflow/underflow backstops, so shells
-//     migrate between workers under skewed spawn/steal patterns.
+//   - pool only: waiters, idle rdeques, pfor range nodes and pfor batch
+//     headers. (A singleton node is part of its task shell; see pforNode.)
+//     A pool scales retention with demand (thousands of suspended tasks
+//     at high connection counts) and lets the GC trim it when load falls;
+//     objects move between workers through it.
+//   - worker-local free list only: resumed-set slices (sliceCache).
+//     Boxing a slice into a sync.Pool allocates its interface header each
+//     round trip, which is the allocation the cache avoids.
+//   - worker-local free list in front of the pool: task shells. A shell
+//     holds a parked goroutine; the local list keeps the hot shells (and
+//     their warm goroutines) on the worker that spawns them. Taking shells
+//     out of the local list was measured and is too slow: pool-only shells
+//     cost mapreduce 6–10% and raised its allocs/op 2–4%, and ending a
+//     shell's goroutine when it overflows into the pool cost mapreduce 20%.
+//     Known hazard (unfixed): a shell that overflows into the pool keeps
+//     its parked goroutine, and when the GC drops the shell from the pool
+//     that goroutine stays parked until Run returns — at P = 2, six rounds
+//     of a 1000-wide Latency fan-out, each followed by two runtime.GC()
+//     calls, took NumGoroutine from 1006 to 5686. Worker-role handoff,
+//     which deletes parked shell goroutines, is the fix.
 //
 // Pools are per-run (hung off runtimeState) so shells never cross Run
 // invocations; parked shell goroutines exit when Run closes rt.poolStop.
@@ -22,9 +37,6 @@ import "sync"
 //     happens-before the recycling worker touches the shell. The shell's
 //     suspension epoch is never reset, so stale wakeups aimed at a
 //     previous life fail their claim CAS (see task, waiter).
-//   - futures: recycled only through awaitConsume, whose contract is that
-//     the future never escapes its single awaiter. Public Spawn futures
-//     are user-visible indefinitely and are never pooled.
 //   - waiters: reference-counted; a waiter returns to the pool only when
 //     the suspending task, the event source, and the cancellation scope
 //     have all dropped their references, so no goroutine can call wake on
@@ -34,36 +46,22 @@ import "sync"
 //     NOT reset: they are monotonic, so a thief still holding a stale
 //     pointer to the deque performs an ordinary (correct) steal against
 //     its current contents, and index reuse (ABA) is impossible.
-//
-// Cache capacities bound worker-local retention; overflow falls through
-// to the run's sync.Pool. Every recycled type gets a pool backstop: the
-// I/O data plane holds thousands of tasks suspended at once (one rdeque,
-// node, and resumed-set buffer each at C connections), far beyond what a
-// worker-local list can usefully retain, and dropping the overflow to
-// the GC made the resume path allocate once per request at high C. A
-// sync.Pool scales retention with demand and lets the GC trim it when
-// load falls.
+//   - pfor nodes: a singleton node comes back with its recycled shell
+//     around a different task life, so node identity alone is never
+//     trusted (see Future.nd).
 const (
-	taskCacheCap  = 64
-	futCacheCap   = 64
-	dqCacheCap    = 64
-	nodeCacheCap  = 256
-	batchCacheCap = 64
+	taskCacheCap = 64
 	// sliceCacheCap is deliberately large: resumed-set buffers are held
 	// by in-flight injected batches until fully extracted, so with C
 	// connections suspended the working set is ~C tiny slices. A dry
-	// cache makes every resume append allocate. Boxing slices through a
-	// sync.Pool would allocate the interface header each round trip, so
-	// the worker-local list is the only tier — at 3 words per entry a
+	// cache makes every resume append allocate. At 3 words per entry a
 	// deep cap costs ~25KiB per worker.
 	sliceCacheCap = 1024
 )
 
-// runtimePools are the per-run shared backstops behind the worker-local
-// free lists.
+// runtimePools are the run's shared recycling tier (see above).
 type runtimePools struct {
-	tasks   sync.Pool // *task (shell + channels + parked goroutine)
-	futures sync.Pool // *Future (pooled path only)
+	tasks   sync.Pool // *task (shell + channels + parked goroutine), behind taskCache
 	waiters sync.Pool // *waiter
 	rdeques sync.Pool // *rdeque (idle; Chase–Lev buffer kept, indices intact)
 	nodes   sync.Pool // *pforNode
@@ -113,42 +111,6 @@ func (w *worker) releaseTask(t *task) {
 	w.rt.pools.tasks.Put(t)
 }
 
-// acquireFuture returns a reset pooled future (spawnPooled path only).
-// The reset locks f.mu, which orders it after any still-unlocking
-// complete from the future's previous life.
-//
-//lhws:nonblocking
-func (w *worker) acquireFuture() *Future {
-	var f *Future
-	if n := len(w.futCache); n > 0 {
-		f = w.futCache[n-1]
-		w.futCache[n-1] = nil
-		w.futCache = w.futCache[:n-1]
-	} else if v := w.rt.pools.futures.Get(); v != nil {
-		f = v.(*Future)
-	} else {
-		return newFuture()
-	}
-	f.mu.Lock() //lhws:allowblock leaf mutex with O(1) critical section, never held across a wait
-	f.done.Store(false)
-	f.err = nil
-	f.w0 = nil
-	f.mu.Unlock()
-	return f
-}
-
-// releaseFuture returns a consumed future to the free list; only
-// awaitConsume may call it, per the spawnPooled contract.
-//
-//lhws:nonblocking
-func (w *worker) releaseFuture(f *Future) {
-	if len(w.futCache) < futCacheCap {
-		w.futCache = append(w.futCache, f)
-		return
-	}
-	w.rt.pools.futures.Put(f)
-}
-
 // getWaiter takes a waiter from the run's pool. Waiter recycling is
 // reference-counted (see waiter.release): Get here may legally return a
 // waiter whose previous suspension was claimed long ago, because Put only
@@ -165,13 +127,6 @@ func (rt *runtimeState) getWaiter() *waiter {
 //
 //lhws:nonblocking
 func (w *worker) getRdeque() *rdeque {
-	if n := len(w.dqCache); n > 0 {
-		d := w.dqCache[n-1]
-		w.dqCache[n-1] = nil
-		w.dqCache = w.dqCache[:n-1]
-		d.owner = w
-		return d
-	}
 	if v := w.rt.pools.rdeques.Get(); v != nil {
 		d := v.(*rdeque)
 		d.owner = w
@@ -187,10 +142,6 @@ func (w *worker) getRdeque() *rdeque {
 //lhws:nonblocking
 func (w *worker) putRdeque(d *rdeque) {
 	d.resetTarget()
-	if len(w.dqCache) < dqCacheCap {
-		w.dqCache = append(w.dqCache, d)
-		return
-	}
 	d.owner = nil
 	w.rt.pools.rdeques.Put(d)
 }
@@ -222,19 +173,12 @@ func (w *worker) putSlice(s []*task) {
 	}
 }
 
-// getNode / putNode / getBatch / putBatch recycle pfor-tree nodes and
-// batch headers (see pfor.go). Owner-role access only; a node or batch
-// may be released by a different worker than the one that created it
-// (after a steal), which only shifts capacity between local caches.
+// getNode / putNode / getBatch / putBatch recycle pfor range nodes and
+// batch headers (see pfor.go). A node or batch may be released by a
+// different worker than the one that created it (after a steal).
 //
 //lhws:nonblocking
 func (w *worker) getNode() *pforNode {
-	if n := len(w.nodeCache); n > 0 {
-		nd := w.nodeCache[n-1]
-		w.nodeCache[n-1] = nil
-		w.nodeCache = w.nodeCache[:n-1]
-		return nd
-	}
 	if v := w.rt.pools.nodes.Get(); v != nil {
 		return v.(*pforNode)
 	}
@@ -245,21 +189,11 @@ func (w *worker) getNode() *pforNode {
 func (w *worker) putNode(nd *pforNode) {
 	nd.t = nil
 	nd.b = nil
-	if len(w.nodeCache) < nodeCacheCap {
-		w.nodeCache = append(w.nodeCache, nd)
-		return
-	}
 	w.rt.pools.nodes.Put(nd)
 }
 
 //lhws:nonblocking
 func (w *worker) getBatch() *pforBatch {
-	if n := len(w.batchCache); n > 0 {
-		b := w.batchCache[n-1]
-		w.batchCache[n-1] = nil
-		w.batchCache = w.batchCache[:n-1]
-		return b
-	}
 	if v := w.rt.pools.batches.Get(); v != nil {
 		return v.(*pforBatch)
 	}
@@ -269,9 +203,5 @@ func (w *worker) getBatch() *pforBatch {
 //lhws:nonblocking
 func (w *worker) putBatch(b *pforBatch) {
 	b.tasks = nil
-	if len(w.batchCache) < batchCacheCap {
-		w.batchCache = append(w.batchCache, b)
-		return
-	}
 	w.rt.pools.batches.Put(b)
 }

@@ -2,9 +2,12 @@ package runtime
 
 import (
 	"errors"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"lhws/internal/deque"
 )
 
 // Tests for pooled task-shell reuse (pool.go): a shell's suspension epoch
@@ -65,7 +68,7 @@ func TestPooledShellStaleWakeupFailsClaim(t *testing.T) {
 // on shells that just unwound with a cancel error — must run normally,
 // and the canceled subtree's error must not leak into them. The workload
 // sizes (well past taskCacheCap spawns per phase) force reuse through
-// both the worker-local free list and the overflow pool.
+// both the worker-local free list and the run's pool.
 func TestPooledShellsIsolateCancellation(t *testing.T) {
 	const n = 200
 	var healthy atomic.Int64
@@ -100,4 +103,63 @@ func TestPooledShellsIsolateCancellation(t *testing.T) {
 	if st.TasksCanceled < n {
 		t.Fatalf("TasksCanceled = %d, want >= %d", st.TasksCanceled, n)
 	}
+}
+
+// TestRecycledRdequeChangesOwner: idle deques move between workers through
+// the run's pool. A deque put by worker A and taken by worker B must be
+// owned by B with its target marker cleared, and its Chase–Lev indices
+// must be kept, so a thief still holding the old pointer performs an
+// ordinary steal against the deque's new contents.
+func TestRecycledRdequeChangesOwner(t *testing.T) {
+	ws := harnessWorkers(2)
+	a, b := ws[0], ws[1]
+	rt := a.rt
+	// Which deque the pool returns depends on the P the test goroutine is
+	// on (and on random drops under -race), so retry with a fresh deque.
+	var d *rdeque
+	var top0, bottom0 int64
+	for attempt := 0; attempt < 100 && d == nil; attempt++ {
+		cand := a.getRdeque()
+		if cand.owner != a {
+			t.Fatal("getRdeque on worker A returned a deque it does not own")
+		}
+		for i := 0; i < 3; i++ { // advance the indices: push, then steal
+			cand.q.PushBottom(i)
+			if _, ok := cand.q.PopTop(); !ok {
+				t.Fatal("PopTop on a one-item deque failed")
+			}
+		}
+		cand.noteTarget(time.Now().Add(time.Hour).UnixNano(), nil)
+		top0, bottom0 = chaseLevIndices(cand.q)
+		a.putRdeque(cand)
+		if cand.owner != nil {
+			t.Fatal("putRdeque left an owner on the recycled deque")
+		}
+		if got := b.getRdeque(); got == cand {
+			d = cand
+		}
+	}
+	if d == nil {
+		t.Fatal("worker B never got worker A's deque back from the pool; the hand-over went untested")
+	}
+	if d.owner != b {
+		t.Error("getRdeque on worker B did not re-own the recycled deque")
+	}
+	if d.targetNs.Load() != 0 || d.targetScope.Load() != nil || rt.activeTargets.Load() != 0 {
+		t.Errorf("target marker survived recycling: targetNs=%d activeTargets=%d", d.targetNs.Load(), rt.activeTargets.Load())
+	}
+	if top, bottom := chaseLevIndices(d.q); top != top0 || bottom != bottom0 || top == 0 {
+		t.Errorf("indices after recycling top=%d bottom=%d, want the monotonic %d/%d kept", top, bottom, top0, bottom0)
+	}
+	stale := d.q // a thief's pointer from the deque's life on worker A
+	d.q.PushBottom("b-item")
+	if it, ok := stale.PopTop(); !ok || it != "b-item" {
+		t.Errorf("stale thief stole (%v, %v), want worker B's item", it, ok)
+	}
+}
+
+// chaseLevIndices reads a ChaseLev's unexported top and bottom indices.
+func chaseLevIndices(q *deque.ChaseLev) (top, bottom int64) {
+	v := reflect.ValueOf(q).Elem()
+	return v.FieldByName("top").FieldByName("v").Int(), v.FieldByName("bottom").FieldByName("v").Int()
 }

@@ -170,13 +170,14 @@ func (d *rdeque) blownTarget(now int64) (*cancelScope, int64, bool) {
 // the subtree that set it is already canceled or finished, so the deque's
 // remaining work is unrelated and thieves must not keep treating it as
 // blown. The CAS yields to any concurrent noteTarget that installed a
-// different target.
+// different target. Thieves call it, so the run comes from the caller:
+// d.owner is the owner role's to write, and recycling clears it.
 //
 //lhws:nonblocking
-func (d *rdeque) clearBlownTarget(tgt int64) {
+func (d *rdeque) clearBlownTarget(rt *runtimeState, tgt int64) {
 	if d.targetNs.CompareAndSwap(tgt, 0) {
 		d.targetScope.Store(nil)
-		d.owner.rt.activeTargets.Add(-1)
+		rt.activeTargets.Add(-1)
 	}
 }
 

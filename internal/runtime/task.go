@@ -60,6 +60,9 @@ type task struct {
 	scope *cancelScope
 	fut   *Future // completion future (nil for the root task)
 	ctx   Ctx     // the life's Ctx, re-initialized each life
+	// node is the deque item the task is pushed in as a singleton (see
+	// pforNode); it lives and is recycled with the shell.
+	node pforNode
 
 	// epoch is the suspension epoch: odd while a suspension is open,
 	// advanced by beginWait and by the (unique) claiming wakeup. See
@@ -218,22 +221,8 @@ func (c *Ctx) Worker() int { return c.t.w.id }
 //
 //lhws:owner a running task holds its worker's owner role between resume and report (see task)
 func (c *Ctx) Spawn(f func(*Ctx)) *Future {
-	return c.spawn(f, newFuture())
-}
-
-// spawnPooled is Spawn with a pool-recycled Future. Internal only: the
-// caller must consume the returned future with awaitConsume exactly once
-// and must not retain or share it afterwards — the future returns to the
-// pool when awaitConsume returns. Used by the structured fork-join
-// primitives (For) and the hot-path benchmarks, where the future provably
-// never escapes its single awaiter.
-func (c *Ctx) spawnPooled(f func(*Ctx)) *Future {
-	return c.spawn(f, c.t.w.acquireFuture())
-}
-
-//lhws:owner a running task holds its worker's owner role between resume and report (see task)
-func (c *Ctx) spawn(f func(*Ctx), fut *Future) *Future {
 	c.checkpoint()
+	fut := newFuture()
 	child := c.t.w.acquireTask(f)
 	child.scope = c.scope
 	child.fut = fut

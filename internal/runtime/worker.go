@@ -52,10 +52,6 @@ type worker struct {
 
 	// Worker-local free lists (owner-role access only; see pool.go).
 	taskCache  []*task
-	futCache   []*Future
-	dqCache    []*rdeque
-	nodeCache  []*pforNode
-	batchCache []*pforBatch
 	sliceCache [][]*task
 	drainBuf   []*rdeque // spare resumedDq buffer, ping-ponged by drainResumed
 }
@@ -369,7 +365,7 @@ func (w *worker) trySteal() bool {
 			// the marker is stale. Retire it and steal normally instead of
 			// repelling thieves from a deque that has moved on to
 			// unrelated work.
-			target.clearBlownTarget(tgt)
+			target.clearBlownTarget(w.rt, tgt)
 		}
 	}
 	n := target.q.PopTopBatch(w.stealBuf, DefaultStealBatch)
