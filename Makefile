@@ -26,10 +26,12 @@ race:
 
 # The recycling tests run five more times: under -race sync.Pool drops
 # items at random, so a test that passes only when the pool happens to
-# return an object fails here instead of flaking in CI.
+# return an object fails here instead of flaking in CI. The cancel and
+# watchdog tests ride along: a cancel detaching a scope's wait list races
+# the waits unlinking themselves.
 race-core:
 	$(GO) test -race -count=1 $(CORE)
-	$(GO) test -race -count=5 -run 'Pool|Recycled|TestAllocs' ./internal/runtime/
+	$(GO) test -race -count=5 -run 'Pool|Recycled|TestAllocs|Cancel|Watchdog' ./internal/runtime/
 
 # vet runs go vet plus the scheduler-aware analyzers in cmd/lhws-vet
 # (see DESIGN.md §6 and §10).

@@ -18,8 +18,8 @@
 //     invokes them from completion and cancellation goroutines, and
 //     the interface contract says they must not block or suspend;
 //   - timer-wheel callbacks (functions passed to
-//     timerwheel.AfterFunc or AfterFuncT), which run on the wheel
-//     goroutine.
+//     timerwheel.AfterFunc, AfterFuncT or AfterFuncInto), which run on
+//     the wheel goroutine.
 //
 // The may-suspend set is seeded by the runtime's heavy-edge entry
 // points (see internal/analysis/facts) and propagated over the
@@ -96,8 +96,11 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 
-	// Timer-wheel callbacks: functions passed to timerwheel.AfterFunc or
-	// AfterFuncT (the timer-carrying variant the io deadline path uses).
+	// Timer-wheel callbacks: functions passed to timerwheel.AfterFunc,
+	// AfterFuncT (the timer-carrying variant the io deadline path uses) or
+	// AfterFuncInto (caller-owned Timer storage). The callback is the
+	// argument in the method's one func-typed parameter — func(any) or
+	// func(*Timer, any) — wherever the signature puts it.
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(x ast.Node) bool {
 			call, ok := x.(*ast.CallExpr)
@@ -105,13 +108,23 @@ func run(pass *analysis.Pass) error {
 				return true
 			}
 			fn := analysis.Callee(pass.TypesInfo, call)
-			if fn == nil || (fn.Name() != "AfterFunc" && fn.Name() != "AfterFuncT") || fn.Pkg() == nil ||
-				fn.Pkg().Path() != "lhws/internal/timerwheel" || len(call.Args) < 2 {
+			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "lhws/internal/timerwheel" {
 				return true
 			}
-			if id, ok := ast.Unparen(call.Args[1]).(*ast.Ident); ok {
-				if cb, ok := pass.TypesInfo.Uses[id].(*types.Func); ok {
-					add(decls[cb], "a timer-wheel callback (runs on the wheel goroutine)")
+			switch fn.Name() {
+			case "AfterFunc", "AfterFuncT", "AfterFuncInto":
+			default:
+				return true
+			}
+			params := fn.Signature().Params()
+			for i := 0; i < params.Len() && i < len(call.Args); i++ {
+				if _, ok := params.At(i).Type().Underlying().(*types.Signature); !ok {
+					continue
+				}
+				if id, ok := ast.Unparen(call.Args[i]).(*ast.Ident); ok {
+					if cb, ok := pass.TypesInfo.Uses[id].(*types.Func); ok {
+						add(decls[cb], "a timer-wheel callback (runs on the wheel goroutine)")
+					}
 				}
 			}
 			return true

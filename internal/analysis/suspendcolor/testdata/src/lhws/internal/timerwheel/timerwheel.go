@@ -12,3 +12,6 @@ func (w *Wheel) AfterFunc(d time.Duration, f func(any), arg any) *Timer { return
 
 // AfterFuncT registers the Timer-carrying callback variant.
 func (w *Wheel) AfterFuncT(d time.Duration, f func(*Timer, any), arg any) *Timer { return nil }
+
+// AfterFuncInto registers f on caller-owned Timer storage t.
+func (w *Wheel) AfterFuncInto(t *Timer, d time.Duration, f func(any), arg any) {}

@@ -99,7 +99,24 @@ func firedT(t *timerwheel.Timer, arg any) {
 	helper(nil) // want `call may suspend the task inside a timer-wheel callback`
 }
 
+// firedInto is registered via AfterFuncInto, whose callback is not its
+// second argument.
+func firedInto(arg any) {
+	helper(nil) // want `call may suspend the task inside a timer-wheel callback`
+}
+
+// quietInto is a wheel callback that does not suspend: not reported.
+func quietInto(arg any) {}
+
+// suspender is passed to AfterFuncInto as the callback's argument, not
+// as the callback: it never runs on the wheel goroutine, so its
+// suspension is not reported.
+func suspender(c *runtime.Ctx) { c.Latency(0) }
+
 func arm(w *timerwheel.Wheel) *timerwheel.Timer {
+	var tm, tq timerwheel.Timer
+	w.AfterFuncInto(&tm, 0, firedInto, nil)
+	w.AfterFuncInto(&tq, 0, quietInto, suspender)
 	w.AfterFuncT(0, firedT, nil)
 	return w.AfterFunc(0, fired, nil)
 }

@@ -86,6 +86,31 @@ func TestAllocsStolenChildAwaitSteadyState(t *testing.T) {
 	}
 }
 
+// TestAllocsLatencySteadyState gates the timer suspension: a Latency
+// round — suspend, wheel fire, resume — runs on a recycled waiter whose
+// embedded timer is re-armed in place, and registers on the scope's
+// intrusive wait list, so it allocates nothing once warm. The watchdog is
+// armed, as in every benchmark run.
+func TestAllocsLatencySteadyState(t *testing.T) {
+	cfg := benchConfig(1)
+	cfg.StallTimeout = 10 * time.Second
+	st, err := Run(cfg, func(c *Ctx) {
+		round := func() { c.Latency(time.Microsecond) }
+		for i := 0; i < 64; i++ {
+			round()
+		}
+		if avg := testing.AllocsPerRun(200, round); avg != 0 && !raceDetectorEnabled {
+			t.Errorf("Latency round allocates %.2f objects/op at steady state, want 0", avg)
+		}
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if st.Suspensions < 264 {
+		t.Errorf("Suspensions = %d: the rounds did not suspend", st.Suspensions)
+	}
+}
+
 // TestAllocsLoadSignalPendingResumes gates the admission path's load
 // sample at zero allocations while a resumed task is waiting for its
 // owner — the state in which the sample used to copy the registered

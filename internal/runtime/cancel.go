@@ -48,9 +48,9 @@ type cancelPanic struct{ err error }
 // Latency timers, channels, and futures so cancellation never waits on
 // a wakeup that may never come.
 //
-// Lock order: scope.mu is taken before any channel, future, deque, or
-// registry mutex (aborts run with scope.mu released), and never the
-// other way around.
+// Lock order: scope.mu is taken before any channel, future, or deque
+// mutex (aborts run with scope.mu released), and never the other way
+// around. No two scope locks are held at once.
 type cancelScope struct {
 	rt     *runtimeState
 	parent *cancelScope
@@ -71,8 +71,10 @@ type cancelScope struct {
 	mu       sync.Mutex
 	err      error
 	children map[*cancelScope]struct{}
-	waits    map[any]aborter
-	timer    *timerwheel.Timer
+	// waits heads the intrusive list of registered waits. It is also the
+	// watchdog's only registry of open suspensions (see stallError).
+	waits *waitLink
+	timer *timerwheel.Timer
 	// deadlineWake marks that the scope's deadline timer is counted in
 	// rt.pendingWakes (derived scopes only; see setDeadline). Guarded by mu;
 	// cleared by whichever of cancel / fireDeadline retires the timer.
@@ -80,11 +82,22 @@ type cancelScope struct {
 }
 
 // aborter is a registered wait's cancellation callback. waiter implements
-// it directly (suspensions register with key == the waiter itself), so the
-// hot suspension path registers without allocating; ad-hoc callbacks wrap
-// a closure in abortFunc.
+// it directly (its embedded link's a is the waiter itself), so the hot
+// suspension path registers without allocating; ad-hoc callbacks wrap a
+// closure in abortFunc.
 type aborter interface {
 	abortWait(err error)
+}
+
+// waitLink is one registered wait: a node of its scope's intrusive wait
+// list, so registering and deregistering are O(1) pointer updates under
+// the scope's lock, with no map and no allocation. prev, next and scope
+// are guarded by the scope's mu; scope is non-nil exactly while the link
+// is on a list. a is set once, before the link is first registered.
+type waitLink struct {
+	prev, next *waitLink
+	scope      *cancelScope
+	a          aborter
 }
 
 // abortFunc adapts a closure to aborter (blocking-mode waits, tests).
@@ -148,8 +161,14 @@ func (s *cancelScope) cancel(err error) bool {
 			s.rt.pendingWakes.Add(-1)
 		}
 	}
+	// Detach the wait list. Clearing each link's scope here, under mu,
+	// is what makes a later removeWait report false: the abort below now
+	// owns the wait.
 	waits := s.waits
 	s.waits = nil
+	for l := waits; l != nil; l = l.next {
+		l.scope = nil
+	}
 	kids := make([]*cancelScope, 0, len(s.children))
 	for k := range s.children {
 		kids = append(kids, k)
@@ -161,8 +180,13 @@ func (s *cancelScope) cancel(err error) bool {
 	if s.rt != nil && s == s.rt.root {
 		s.rt.noteFatal(err)
 	}
-	for _, a := range waits {
-		a.abortWait(err)
+	// Read next before each abort: once aborted, a waiter may be recycled
+	// and its link registered on another list.
+	for l := waits; l != nil; {
+		next := l.next
+		l.prev, l.next = nil, nil
+		l.a.abortWait(err)
+		l = next
 	}
 	for _, k := range kids {
 		k.cancel(err)
@@ -237,34 +261,45 @@ func (s *cancelScope) detach() {
 	p.mu.Unlock()
 }
 
-// addWait registers a wait with a as its cancellation callback. If the
+// addWait registers l, whose a is its cancellation callback. If the
 // scope is already canceled it registers nothing and returns the cause;
 // the caller then runs its abort path itself, which closes the race
 // between suspending and a concurrent cancel.
-func (s *cancelScope) addWait(key any, a aborter) error {
+func (s *cancelScope) addWait(l *waitLink) error {
 	s.mu.Lock()
 	if s.err != nil {
 		err := s.err
 		s.mu.Unlock()
 		return err
 	}
-	if s.waits == nil {
-		s.waits = make(map[any]aborter)
+	l.scope = s
+	l.prev = nil
+	l.next = s.waits
+	if l.next != nil {
+		l.next.prev = l
 	}
-	s.waits[key] = a
+	s.waits = l
 	s.mu.Unlock()
 	return nil
 }
 
 // removeWait deregisters a wait after it completed normally. It reports
-// whether the key was still registered — i.e. whether the abort callback
-// is now guaranteed never to run, which tells a refcounting caller it
-// owns the reference the callback would otherwise have consumed.
-func (s *cancelScope) removeWait(key any) bool {
+// whether l was still registered — i.e. whether the abort callback is now
+// guaranteed never to run, which tells a refcounting caller it owns the
+// reference the callback would otherwise have consumed.
+func (s *cancelScope) removeWait(l *waitLink) bool {
 	s.mu.Lock()
-	_, present := s.waits[key]
+	present := l.scope == s
 	if present {
-		delete(s.waits, key)
+		if l.prev != nil {
+			l.prev.next = l.next
+		} else {
+			s.waits = l.next
+		}
+		if l.next != nil {
+			l.next.prev = l.prev
+		}
+		l.prev, l.next, l.scope = nil, nil, nil
 	}
 	s.mu.Unlock()
 	return present

@@ -40,6 +40,42 @@ func TestWithCancelUnwindsSubtree(t *testing.T) {
 	}
 }
 
+// A canceled Latency wait stops its embedded timer, and the wheel's fire
+// loop may still hold a stopped timer. The waiter must therefore keep the
+// timer's reference after the task unwinds, so it never returns to the
+// pool and its timer is never re-armed while the wheel may hold it.
+func TestCanceledLatencyWaiterNotPooled(t *testing.T) {
+	_, err := Run(Config{Workers: 1}, func(c *Ctx) {
+		cc, cancel := c.WithCancel()
+		defer cancel()
+		sleeper := cc.Spawn(func(c2 *Ctx) { c2.Latency(time.Hour) })
+		// The one worker runs the sleeper while the root waits here; its
+		// waiter is then the only wait on cc's scope.
+		var wt *waiter
+		for i := 0; wt == nil && i < 1000; i++ {
+			c.Latency(time.Millisecond)
+			cc.scope.mu.Lock()
+			if l := cc.scope.waits; l != nil {
+				wt = l.a.(*waiter)
+			}
+			cc.scope.mu.Unlock()
+		}
+		if wt == nil {
+			t.Fatal("the sleeper never registered its wait")
+		}
+		cancel()
+		if got := sleeper.AwaitErr(c); !errors.Is(got, ErrCanceled) {
+			t.Fatalf("sleeper AwaitErr = %v, want ErrCanceled", got)
+		}
+		if refs := wt.refs.Load(); refs < 1 {
+			t.Errorf("canceled Latency waiter has %d refs after unwinding, want >= 1 (the stopped timer's)", refs)
+		}
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
 // A derived deadline must abort a suspended Latency wait early and
 // surface ErrDeadline from the child's future.
 func TestWithDeadlineAbortsLatency(t *testing.T) {

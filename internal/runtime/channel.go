@@ -357,15 +357,15 @@ func (ch *Chan[T]) recvOKBlocking(c *Ctx) (T, bool) {
 	// Register a cancellation nudge: canceling the scope broadcasts the
 	// condition variable (under ch.mu, so the wait loop below cannot miss
 	// it between its check and cond.Wait).
-	key := new(int)
-	if err := c.scope.addWait(key, abortFunc(func(error) {
+	l := &waitLink{a: abortFunc(func(error) {
 		ch.mu.Lock()
 		ch.cond.Broadcast()
 		ch.mu.Unlock()
-	})); err != nil {
+	})}
+	if err := c.scope.addWait(l); err != nil {
 		panic(cancelPanic{err: err})
 	}
-	defer c.scope.removeWait(key)
+	defer c.scope.removeWait(l)
 	for {
 		ch.mu.Lock()
 		if v, ok := ch.takeLocked(); ok {

@@ -191,21 +191,21 @@ func (bk *extBlock) complete(n int, err error) bool {
 func (c *Ctx) awaitExternalBlocking(op ExternalOp) (int, error) {
 	bk := &extBlock{done: make(chan struct{})}
 	h := ExternalHandle{bk: bk}
-	key := new(int)
+	l := &waitLink{a: abortFunc(func(err error) {
+		op.CancelExternal(h, err)
+	})}
 	// Arm before registering the abort: addWait and the canceling scope
 	// both take scope.mu, so this order is what publishes Arm's writes
 	// (e.g. an op's stored cancel hook) to a concurrent CancelExternal.
 	op.Arm(h)
-	if err := c.scope.addWait(key, abortFunc(func(err error) {
-		op.CancelExternal(h, err)
-	})); err != nil {
+	if err := c.scope.addWait(l); err != nil {
 		// Born canceled: interrupt the operation we just armed (its late
 		// Complete hits the rendezvous harmlessly) and unwind.
 		op.CancelExternal(h, err)
 		panic(cancelPanic{err: err})
 	}
 	<-bk.done
-	if !c.scope.removeWait(key) {
+	if !c.scope.removeWait(l) {
 		// A cancel claimed the registration: unwind like every other
 		// blocking-mode wait, whatever the completer managed to deliver.
 		if err := c.scope.Err(); err != nil {

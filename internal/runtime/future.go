@@ -41,8 +41,8 @@ func newFuture() *Future {
 // suspended waiters (latency-hiding mode), and wakes blocked workers
 // (blocking mode). Waiters are delivered while f.mu is held, so a racing
 // cancelWait either dequeues its waiter first or finds it consumed; that
-// is safe because deliver/wake take only leaf locks (injector, suspension
-// registry, deque, worker) and never a Future's.
+// is safe because deliver/wake take only leaf locks (injector, deque,
+// worker) and never a Future's.
 //
 //lhws:nosuspend
 func (f *Future) complete(err error) {
@@ -229,15 +229,15 @@ func (f *Future) awaitBlocking(c *Ctx) error {
 	// Register a cancellation nudge: canceling the scope broadcasts the
 	// condition variable (under f.mu, so the wait loop below cannot miss
 	// it between its check and cond.Wait).
-	key := new(int)
-	if err := c.scope.addWait(key, abortFunc(func(error) {
+	l := &waitLink{a: abortFunc(func(error) {
 		f.mu.Lock()
 		f.cond.Broadcast()
 		f.mu.Unlock()
-	})); err != nil {
+	})}
+	if err := c.scope.addWait(l); err != nil {
 		panic(cancelPanic{err: err})
 	}
-	defer c.scope.removeWait(key)
+	defer c.scope.removeWait(l)
 	for {
 		if f.Done() {
 			return f.Err()

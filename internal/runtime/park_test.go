@@ -28,12 +28,14 @@ func processCPU(t *testing.T) time.Duration {
 func TestIdleRunParksInsteadOfPolling(t *testing.T) {
 	const p = 4
 	ch := make(chan int)
-	go func() {
-		time.Sleep(200 * time.Millisecond)
-		ch <- 7
-	}()
 	cpu0 := processCPU(t)
 	st, err := Run(Config{Workers: p}, func(c *Ctx) {
+		// The sender starts inside the run, so its 200 ms cannot begin
+		// before Run's wall clock does on a loaded host.
+		go func() {
+			time.Sleep(200 * time.Millisecond)
+			ch <- 7
+		}()
 		if v, err := AwaitChan(c, ch); v != 7 || err != nil {
 			t.Errorf("AwaitChan = %d, %v", v, err)
 		}

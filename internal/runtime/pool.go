@@ -40,7 +40,10 @@ import "sync"
 //   - waiters: reference-counted; a waiter returns to the pool only when
 //     the suspending task, the event source, and the cancellation scope
 //     have all dropped their references, so no goroutine can call wake on
-//     a recycled waiter.
+//     a recycled waiter. A waiter embeds its Latency timer, and only the
+//     timer's fire releases the timer's reference: a waiter whose timer
+//     was stopped keeps that reference and goes to the GC, because the
+//     wheel's fire loop may still hold the stopped timer.
 //   - rdeques: recycled only when idle (empty, no suspended or pending
 //     resumed tasks). The Chase–Lev top/bottom indices are deliberately
 //     NOT reset: they are monotonic, so a thief still holding a stale
@@ -119,7 +122,9 @@ func (rt *runtimeState) getWaiter() *waiter {
 	if v := rt.pools.waiters.Get(); v != nil {
 		return v.(*waiter)
 	}
-	return &waiter{}
+	wt := &waiter{}
+	wt.link.a = wt
+	return wt
 }
 
 // getRdeque returns an idle recycled deque (re-owned by w) or a fresh

@@ -183,7 +183,6 @@ func Run(cfg Config, root func(*Ctx)) (*Stats, error) {
 		return nil, fmt.Errorf("%w: Workers must be >= 1, got %d", ErrConfig, cfg.Workers)
 	}
 	rt := &runtimeState{cfg: cfg, poolStop: make(chan struct{})}
-	rt.trackSuspends = cfg.StallTimeout > 0
 	rt.wheel = timerwheel.New(0)
 	rt.root = newCancelScope(rt, nil)
 	seeds := rng.New(cfg.Seed)
@@ -303,10 +302,6 @@ type runtimeState struct {
 	// poolStop, closed when the run drains, releases every pooled task
 	// goroutine parked between lives (see task.main).
 	poolStop chan struct{}
-	// trackSuspends mirrors StallTimeout > 0: the suspension registry is
-	// maintained only for the watchdog (see wait.go).
-	trackSuspends bool
-	susReg        suspendRegistry
 	// loadSamp is the load signal's across-sample state (see load.go).
 	loadSamp loadSampler
 	// wheel is the run's shared hashed timer wheel: Latency expirations,

@@ -264,7 +264,8 @@ func (c *Ctx) Latency(d time.Duration) {
 	wt := c.beginWait("latency", KindTimer, home, nil)
 	t.rt.pendingWakes.Add(1)
 	wt.refs.Add(1) // timer reference, consumed by deliver
-	wt.timer = t.rt.wheel.AfterFunc(d, latencyFired, wt)
+	wt.timed = true
+	t.rt.wheel.AfterFuncInto(&wt.tm, d, latencyFired, wt)
 	c.armScope(wt)
 	c.finishWait(wt)
 }
@@ -272,8 +273,8 @@ func (c *Ctx) Latency(d time.Duration) {
 // latencyFired is the wheel callback for Latency: ten thousand sleeping
 // tasks cost one timer goroutine, and expirations sharing a tick land in
 // the same drainResumed batch. A package-level function (with the waiter
-// as the argument) keeps the arm allocation-free apart from the timer
-// entry itself.
+// as the argument) and the timer embedded in the waiter keep the arm
+// allocation-free.
 //
 //lhws:nosuspend
 func latencyFired(arg any) {
@@ -289,7 +290,7 @@ func latencyFired(arg any) {
 //
 //lhws:nosuspend
 func (c *Ctx) armScope(wt *waiter) {
-	if err := c.scope.addWait(wt, wt); err != nil {
+	if err := c.scope.addWait(&wt.link); err != nil {
 		wt.abortWait(err)
 	}
 }

@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -29,11 +28,23 @@ import (
 // fault-injected duplicate). A waiter returns to the pool only at
 // refcount zero, so a late waker always sees the frozen epoch of the
 // suspension it was armed for, never a recycled waiter's.
+//
+// The Latency timer is embedded (tm) and re-armed in place, which is
+// safe only because the timer's reference is consumed by the fire's
+// deliver alone. A Stop that wins in abortWait must not release it: the
+// wheel's fire loop may still hold &tm in the batch it is scanning, and
+// a recycled waiter re-arming tm would let that loop fire the new arming.
+// A waiter whose timer was stopped therefore never returns to the pool;
+// the GC takes it.
 type waiter struct {
+	// link is the waiter's entry on its scope's wait list; link.a is the
+	// waiter itself, set once at allocation.
+	link  waitLink
 	t     *task
 	epoch uint64
 	home  *rdeque
-	timer *timerwheel.Timer // pending Latency timer, stopped on abort
+	tm    timerwheel.Timer // the Latency timer, armed in place
+	timed bool             // tm is armed for this suspension
 	// src, when non-nil, is the queue the waiter is parked on (a Future
 	// or a Chan); the cancellation abort asks it to dequeue the waiter
 	// before waking it.
@@ -44,6 +55,12 @@ type waiter struct {
 	ext  ExternalOp
 	kind WaitKind
 	refs atomic.Int32
+	// site, since and worker describe the suspension for the watchdog,
+	// which reads them (with kind and home) from the scope's wait list.
+	// They are written before the waiter is registered there.
+	site   string
+	since  time.Time
+	worker int
 	// extN/extErr are the external completion's payload, written by
 	// Complete before the wake and copied onto the task by the winning
 	// claim (so the task can read them after the waiter is recycled).
@@ -59,9 +76,9 @@ type wakeSource interface {
 }
 
 // beginWait opens a suspension of c's task: it advances the task's epoch
-// (odd = waiting), pins the home deque for the resume, and records the
-// suspension in the runtime's registry for watchdog diagnostics. It
-// runs task-side, before the waiter is published to any wakeup source.
+// (odd = waiting), pins the home deque for the resume, and stamps the
+// waiter with what the watchdog reports (site, kind, start time, worker).
+// It runs task-side, before the waiter is published to any wakeup source.
 // The caller has already called home.suspend().
 //
 // It is a Ctx method because the wait belongs to the calling handle's
@@ -83,10 +100,13 @@ func (c *Ctx) beginWait(site string, kind WaitKind, home *rdeque, src wakeSource
 	wt.t = t
 	wt.epoch = e
 	wt.home = home
-	wt.timer = nil
+	wt.timed = false
 	wt.src = src
 	wt.ext = nil
 	wt.kind = kind
+	wt.site = site
+	wt.since = time.Now()
+	wt.worker = t.w.id
 	wt.extN, wt.extErr = 0, nil
 	wt.refs.Store(2)
 	// A suspending task pins its target to the home deque it will resume
@@ -99,7 +119,6 @@ func (c *Ctx) beginWait(site string, kind WaitKind, home *rdeque, src wakeSource
 	if kind == KindFD || kind == KindExternal {
 		t.rt.extPending.Add(1)
 	}
-	t.rt.noteSuspend(t, site, kind, t.w.id, home)
 	t.w.stat.suspensions.Add(1)
 	return wt
 }
@@ -113,7 +132,6 @@ func (wt *waiter) release() {
 	if wt.refs.Add(-1) == 0 {
 		wt.t = nil
 		wt.home = nil
-		wt.timer = nil
 		wt.src = nil
 		wt.ext = nil
 		wt.extErr = nil
@@ -148,7 +166,6 @@ func (wt *waiter) wake(abortErr error) bool {
 		// may still be writing them, and the unwinding task never looks.
 		t.extN, t.extErr = wt.extN, wt.extErr
 	}
-	t.rt.dropSuspend(t)
 	wt.home.addResumed(t)
 	return true
 }
@@ -163,7 +180,8 @@ func (wt *waiter) wake(abortErr error) bool {
 //
 //lhws:nosuspend
 func (wt *waiter) abortWait(err error) {
-	if wt.timer != nil && wt.timer.Stop() {
+	if wt.timed && wt.tm.Stop() {
+		// The timer's reference stays held (see waiter).
 		wt.t.rt.pendingWakes.Add(-1)
 	}
 	switch {
@@ -186,7 +204,8 @@ func (wt *waiter) abortWait(err error) {
 // deliver entirely so cancellation and watchdog recovery stay reliable
 // even under 100% fault rates. deliver consumes the caller's event
 // reference (transferring it into the delayed closure when the injector
-// defers the wake).
+// defers the wake). The re-deliveries arm fresh AfterFunc timers, not
+// the embedded tm: when deliver runs from latencyFired, tm is mid-fire.
 //
 //lhws:nosuspend
 func (wt *waiter) deliver(p faultpoint.Point) bool {
@@ -240,7 +259,7 @@ func deliverDelayed(arg any) {
 // if the wake was an abort.
 func (c *Ctx) finishWait(wt *waiter) {
 	c.yield()
-	if c.scope.removeWait(wt) {
+	if c.scope.removeWait(&wt.link) {
 		// Deregistered before the scope fired: the scope's abort will
 		// never run, so its reference is released here. If removeWait
 		// found nothing, a concurrent (or past) cancel owns the abort
@@ -254,46 +273,4 @@ func (c *Ctx) finishWait(wt *waiter) {
 	if err != nil {
 		panic(cancelPanic{err: err})
 	}
-}
-
-// suspendInfo is the watchdog's view of one outstanding suspension.
-// worker and home are captured task-side at suspension time so the
-// watchdog never reads task fields concurrently with the task.
-type suspendInfo struct {
-	site   string
-	kind   WaitKind
-	since  time.Time
-	worker int
-	home   *rdeque
-}
-
-// suspendRegistry tracks every outstanding suspension for stall
-// diagnostics. It is maintained only when the watchdog is armed
-// (Config.StallTimeout > 0) — its sole consumer — so runs without a
-// watchdog pay one predictable branch per suspension instead of two
-// mutex acquisitions and two map operations.
-type suspendRegistry struct {
-	mu sync.Mutex
-	m  map[*task]suspendInfo
-}
-
-func (rt *runtimeState) noteSuspend(t *task, site string, kind WaitKind, worker int, home *rdeque) {
-	if !rt.trackSuspends {
-		return
-	}
-	rt.susReg.mu.Lock()
-	if rt.susReg.m == nil {
-		rt.susReg.m = make(map[*task]suspendInfo)
-	}
-	rt.susReg.m[t] = suspendInfo{site: site, kind: kind, since: time.Now(), worker: worker, home: home}
-	rt.susReg.mu.Unlock()
-}
-
-func (rt *runtimeState) dropSuspend(t *task) {
-	if !rt.trackSuspends {
-		return
-	}
-	rt.susReg.mu.Lock()
-	delete(rt.susReg.m, t)
-	rt.susReg.mu.Unlock()
 }

@@ -134,8 +134,8 @@ func (rt *runtimeState) watchdog(stop <-chan struct{}) {
 	}
 }
 
-// stallError snapshots the suspension registry and the workers' parking
-// state into a diagnostic. It runs before the root cancel wakes anyone.
+// stallError snapshots the open waits and the workers' parking state
+// into a diagnostic. It runs before the root cancel wakes anyone.
 func (rt *runtimeState) stallError(quiet time.Duration) *StallError {
 	e := &StallError{NoProgress: quiet, Live: rt.liveTasks.Load()}
 	for _, w := range rt.workers {
@@ -151,22 +151,35 @@ func (rt *runtimeState) stallError(quiet time.Duration) *StallError {
 			e.PendingResumed += resumed
 		}
 	}
+	// The open waits are the waiters on the scopes' wait lists. A scope's
+	// lock keeps its linked waiters from being recycled, so their fields
+	// are read under it; the deque snapshots come after it is released.
 	now := time.Now()
-	rt.susReg.mu.Lock()
-	waits := make([]StallWait, 0, len(rt.susReg.m))
-	for _, info := range rt.susReg.m {
-		suspended, resumed := info.home.snapshot()
-		waits = append(waits, StallWait{
-			Site:           info.site,
-			Kind:           info.kind,
-			Age:            now.Sub(info.since),
-			Worker:         info.worker,
-			DequeLen:       info.home.q.Len(),
-			DequeSuspended: suspended,
-			DequeResumed:   resumed,
-		})
+	var waits []StallWait
+	var homes []*rdeque
+	for stack := []*cancelScope{rt.root}; len(stack) > 0; {
+		s := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		s.mu.Lock()
+		for k := range s.children {
+			stack = append(stack, k)
+		}
+		for l := s.waits; l != nil; l = l.next {
+			// Skip blocking-mode waits (not waiters), and waits already
+			// claimed whose task has not run yet.
+			wt, ok := l.a.(*waiter)
+			if !ok || wt.t.epoch.Load() != wt.epoch {
+				continue
+			}
+			waits = append(waits, StallWait{Site: wt.site, Kind: wt.kind, Age: now.Sub(wt.since), Worker: wt.worker})
+			homes = append(homes, wt.home)
+		}
+		s.mu.Unlock()
 	}
-	rt.susReg.mu.Unlock()
+	for i, home := range homes {
+		waits[i].DequeLen = home.q.Len()
+		waits[i].DequeSuspended, waits[i].DequeResumed = home.snapshot()
+	}
 	sort.Slice(waits, func(i, j int) bool { return waits[i].Age > waits[j].Age })
 	if len(waits) > maxStallWaits {
 		e.Truncated = len(waits) - maxStallWaits

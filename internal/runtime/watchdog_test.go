@@ -51,6 +51,43 @@ func TestWatchdogDetectsLostWakeup(t *testing.T) {
 	}
 }
 
+// The watchdog reads open waits from the scope tree, so a wait registered
+// on a derived scope — a WithCancel or WithTarget handle — must be found
+// below the root and reported with its kind, its worker and its age.
+func TestWatchdogReportsDerivedScopeWait(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		derive func(*Ctx) (*Ctx, func())
+	}{
+		{"WithCancel", (*Ctx).WithCancel},
+		{"WithTarget", func(c *Ctx) (*Ctx, func()) { return c.WithTarget(time.Hour) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inj := faultpoint.New(1).Set(faultpoint.ResumeInject, faultpoint.Rule{
+				Action: faultpoint.Drop, Rate: 1.0,
+			})
+			worker := -1
+			_, err := Run(Config{Workers: 2, StallTimeout: 100 * time.Millisecond, Faults: inj}, func(c *Ctx) {
+				dc, cancel := tc.derive(c)
+				defer cancel()
+				worker = dc.Worker()
+				dc.Latency(5 * time.Millisecond) // wake dropped: stays suspended
+			})
+			var se *StallError
+			if !errors.As(err, &se) {
+				t.Fatalf("Run err = %v, want *StallError", err)
+			}
+			if len(se.Waits) != 1 {
+				t.Fatalf("StallError.Waits = %v, want the one latency wait", se.Waits)
+			}
+			w := se.Waits[0]
+			if w.Site != "latency" || w.Kind != KindTimer || w.Worker != worker || w.Age <= 0 {
+				t.Errorf("wait = %+v, want site latency, kind %v, worker %d, age > 0", w, KindTimer, worker)
+			}
+		})
+	}
+}
+
 // A long legitimate Latency keeps a timer pending; the watchdog must not
 // mistake that quiet for a stall.
 func TestWatchdogNoFalsePositiveOnLongLatency(t *testing.T) {

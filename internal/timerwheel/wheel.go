@@ -42,8 +42,12 @@ const (
 	tStopped
 )
 
-// Timer is one scheduled callback. Timers are single-shot and not
-// recycled: a stopped or fired Timer is garbage.
+// Timer is one scheduled callback. A Timer is single-shot per arming.
+// A Timer from AfterFunc or AfterFuncT is never re-armed. Caller-owned
+// storage armed with AfterFuncInto may be armed again once its callback
+// has started: the fire loop drops the Timer before it calls back. A
+// Timer that Stop claimed must never be armed again, because the fire
+// loop may still hold it in the batch it is scanning.
 type Timer struct {
 	wheel      *Wheel
 	next, prev *Timer // intrusive slot list; guarded by wheel.mu
@@ -119,7 +123,19 @@ func (w *Wheel) now() int64 { return int64(time.Since(w.start) / w.tick) }
 // hot callers allocation-free: they pass a package-level function and
 // the waiter they already hold.
 func (w *Wheel) AfterFunc(d time.Duration, f func(any), arg any) *Timer {
-	return w.schedule(&Timer{wheel: w, f: f, arg: arg}, d)
+	t := new(Timer)
+	w.AfterFuncInto(t, d, f, arg)
+	return t
+}
+
+// AfterFuncInto is AfterFunc arming caller-owned storage t instead of
+// allocating a Timer, so an object that embeds its Timer arms it with no
+// allocation. t must be unarmed: zero, or last armed by AfterFuncInto and
+// already fired (see Timer).
+func (w *Wheel) AfterFuncInto(t *Timer, d time.Duration, f func(any), arg any) {
+	t.wheel, t.f, t.ft, t.arg = w, f, nil, arg
+	t.state.Store(tArmed)
+	w.schedule(t, d)
 }
 
 // AfterFuncT is AfterFunc for callbacks that need the timer's identity:
