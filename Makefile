@@ -28,10 +28,11 @@ race:
 # items at random, so a test that passes only when the pool happens to
 # return an object fails here instead of flaking in CI. The cancel and
 # watchdog tests ride along: a cancel detaching a scope's wait list races
-# the waits unlinking themselves.
+# the waits unlinking themselves. So do the Blocking-mode tests, whose
+# waits run on the same reference-counted, pooled waiters.
 race-core:
 	$(GO) test -race -count=1 $(CORE)
-	$(GO) test -race -count=5 -run 'Pool|Recycled|TestAllocs|Cancel|Watchdog' ./internal/runtime/
+	$(GO) test -race -count=5 -run 'Pool|Recycled|TestAllocs|Cancel|Watchdog|Blocking' ./internal/runtime/
 
 # vet runs go vet plus the scheduler-aware analyzers in cmd/lhws-vet
 # (see DESIGN.md §6 and §10).

@@ -32,40 +32,38 @@ const (
 // entry points of the runtime: every transitive caller is a
 // may-suspend function.
 var maySuspendLeaves = map[string]string{
-	RuntimePath + ".Future.Await":         "awaits a future",
-	RuntimePath + ".Future.AwaitErr":      "awaits a future",
-	RuntimePath + ".Future.awaitBlocking": "parks the worker until the future completes (blocking mode)",
-	RuntimePath + ".Value.Await":          "awaits a future",
-	RuntimePath + ".Value.AwaitErr":       "awaits a future",
-	RuntimePath + ".Chan.Send":            "suspends until a receiver or buffer slot is ready",
-	RuntimePath + ".Chan.Recv":            "suspends until a value arrives",
-	RuntimePath + ".Chan.RecvOK":          "suspends until a value arrives",
-	RuntimePath + ".Chan.recvOKBlocking":  "parks the worker until a value arrives (blocking mode)",
-	RuntimePath + ".Ctx.Latency":          "suspends for the latency duration",
-	RuntimePath + ".Ctx.AwaitExternalOp":  "suspends until the external operation completes",
-	RuntimePath + ".Ctx.finishWait":       "yields the task to the worker loop",
-	RuntimePath + ".Ctx.yield":            "yields the task to the worker loop",
-	RuntimePath + "..AwaitExternal":       "suspends until the external completion fires",
-	RuntimePath + "..AwaitChan":           "suspends until the Go channel yields a value",
-	RuntimePath + "..For":                 "joins its iteration tasks",
-	RuntimePath + "..forRange":            "joins its iteration tasks",
-	RuntimePath + "..MapReduce":           "joins its iteration tasks",
-	IOPath + ".Conn.Read":                 "suspends until the socket is readable",
-	IOPath + ".Conn.ReadBuf":              "suspends until the socket is readable",
-	IOPath + ".Conn.Write":                "suspends until the socket is writable",
-	IOPath + ".Conn.Writev":               "suspends until the vectored write completes",
-	IOPath + ".Conn.Flush":                "suspends until the queued writes are flushed",
-	IOPath + ".Listener.Accept":           "suspends until a connection arrives",
-	IOPath + "..Dial":                     "suspends until the connection is established",
-	IOPath + "..Listen":                   "suspends while binding the listener",
-	IOPath + "..Wrap":                     "suspends while registering the socket",
-	LhwsPath + "..For":                    "joins its iteration tasks",
-	LhwsPath + "..ParallelMapReduce":      "joins its iteration tasks",
-	LhwsPath + "..AwaitChan":              "suspends until the Go channel yields a value",
-	LhwsPath + "..AwaitExternal":          "suspends until the external completion fires",
-	LhwsPath + "..IODial":                 "suspends until the connection is established",
-	LhwsPath + "..IOListen":               "suspends while binding the listener",
-	LhwsPath + "..IOWrap":                 "suspends while registering the socket",
+	RuntimePath + ".Future.Await":        "awaits a future",
+	RuntimePath + ".Future.AwaitErr":     "awaits a future",
+	RuntimePath + ".Value.Await":         "awaits a future",
+	RuntimePath + ".Value.AwaitErr":      "awaits a future",
+	RuntimePath + ".Chan.Send":           "suspends until a receiver or buffer slot is ready",
+	RuntimePath + ".Chan.Recv":           "suspends until a value arrives",
+	RuntimePath + ".Chan.RecvOK":         "suspends until a value arrives",
+	RuntimePath + ".Ctx.Latency":         "suspends for the latency duration",
+	RuntimePath + ".Ctx.AwaitExternalOp": "suspends until the external operation completes",
+	RuntimePath + ".Ctx.finishWait":      "yields the task to the worker loop",
+	RuntimePath + ".Ctx.yield":           "yields the task to the worker loop",
+	RuntimePath + "..AwaitExternal":      "suspends until the external completion fires",
+	RuntimePath + "..AwaitChan":          "suspends until the Go channel yields a value",
+	RuntimePath + "..For":                "joins its iteration tasks",
+	RuntimePath + "..forRange":           "joins its iteration tasks",
+	RuntimePath + "..MapReduce":          "joins its iteration tasks",
+	IOPath + ".Conn.Read":                "suspends until the socket is readable",
+	IOPath + ".Conn.ReadBuf":             "suspends until the socket is readable",
+	IOPath + ".Conn.Write":               "suspends until the socket is writable",
+	IOPath + ".Conn.Writev":              "suspends until the vectored write completes",
+	IOPath + ".Conn.Flush":               "suspends until the queued writes are flushed",
+	IOPath + ".Listener.Accept":          "suspends until a connection arrives",
+	IOPath + "..Dial":                    "suspends until the connection is established",
+	IOPath + "..Listen":                  "suspends while binding the listener",
+	IOPath + "..Wrap":                    "suspends while registering the socket",
+	LhwsPath + "..For":                   "joins its iteration tasks",
+	LhwsPath + "..ParallelMapReduce":     "joins its iteration tasks",
+	LhwsPath + "..AwaitChan":             "suspends until the Go channel yields a value",
+	LhwsPath + "..AwaitExternal":         "suspends until the external completion fires",
+	LhwsPath + "..IODial":                "suspends until the connection is established",
+	LhwsPath + "..IOListen":              "suspends while binding the listener",
+	LhwsPath + "..IOWrap":                "suspends while registering the socket",
 }
 
 // funcKey renders fn as "pkgpath.Recv.name" ("pkgpath..name" for plain

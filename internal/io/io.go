@@ -26,9 +26,10 @@
 // into one vectored writev syscall; per-op deadlines (SetOpTimeout) are
 // O(1) entries on the run's shared timer wheel. See DESIGN.md §13.
 //
-// In Blocking mode the same calls park the worker until the completion
-// arrives, preserving the paper's baseline for comparison; code written
-// against this package runs unchanged in both modes.
+// In Blocking mode the same calls wait on the same waiter but hold the
+// worker until the completion arrives, preserving the paper's baseline
+// for comparison; code written against this package runs unchanged in
+// both modes.
 //
 // Concurrency contract: at most one task may be in Read and one in Write
 // on the same Conn at a time (as with net.Conn, reads and writes are
@@ -606,11 +607,6 @@ func PeakBridges(c *runtime.Ctx) int {
 // is one mechanism — a goroutine parked in the Go netpoller — so it is a
 // constant; benchmark records carry it.
 func BackendName(c *runtime.Ctx) string { return "netpoll" }
-
-// ErrOpCanceled is exported for tests that need to distinguish the
-// canceled-result sentinel; user code normally never sees it (the task
-// unwinds instead).
-var ErrOpCanceled = errOpCanceled
 
 // ErrOpTimeout is the error a read/write completes with when its per-op
 // deadline (SetOpTimeout) expires first. A normal error return, not a

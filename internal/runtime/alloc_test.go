@@ -158,6 +158,40 @@ func TestAllocsPublicSpawnSteadyState(t *testing.T) {
 	}
 }
 
+// TestAllocsBlockingSteadyState gates Blocking mode's waits, which run on
+// the same pooled waiters as latency-hiding suspensions and so register
+// with their scope without allocating: a buffered Send + Recv costs
+// nothing, and a Spawn + Await — the join helping the child through as
+// a call — costs only the Future. A Chan is one allocation in any mode.
+func TestAllocsBlockingSteadyState(t *testing.T) {
+	cfg := benchConfig(1)
+	cfg.Mode = Blocking
+	_, err := Run(cfg, func(c *Ctx) {
+		ch := NewChan[int](1)
+		sendRecv := func() {
+			ch.Send(c, 1)
+			ch.Recv(c)
+		}
+		spawnAwait := func() { c.Spawn(benchLeaf).Await(c) }
+		for i := 0; i < 64; i++ {
+			sendRecv()
+			spawnAwait()
+		}
+		if avg := testing.AllocsPerRun(200, sendRecv); avg != 0 && !raceDetectorEnabled {
+			t.Errorf("Blocking buffered Send+Recv allocates %.2f objects/op, want 0", avg)
+		}
+		if avg := testing.AllocsPerRun(200, spawnAwait); avg > 1 && !raceDetectorEnabled {
+			t.Errorf("Blocking Spawn+Await allocates %.2f objects/op, want <= 1 (the Future)", avg)
+		}
+		if avg := testing.AllocsPerRun(200, func() { ch = NewChan[int](1) }); avg != 1 {
+			t.Errorf("NewChan allocates %.2f objects, want 1", avg)
+		}
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
 // TestAllocsMultiWorkerFanout holds the allocation contract where
 // AllocsPerRun cannot look: it pins GOMAXPROCS to 1, so no gate above
 // sees four workers stealing at once. A 256-wide fan-out of empty leaves

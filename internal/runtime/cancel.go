@@ -71,39 +71,16 @@ type cancelScope struct {
 	mu       sync.Mutex
 	err      error
 	children map[*cancelScope]struct{}
-	// waits heads the intrusive list of registered waits. It is also the
-	// watchdog's only registry of open suspensions (see stallError).
-	waits *waitLink
+	// waits heads the intrusive list of registered waits (linked through
+	// waiter.prev/next). It is also the watchdog's only registry of open
+	// suspensions (see stallError).
+	waits *waiter
 	timer *timerwheel.Timer
 	// deadlineWake marks that the scope's deadline timer is counted in
 	// rt.pendingWakes (derived scopes only; see setDeadline). Guarded by mu;
 	// cleared by whichever of cancel / fireDeadline retires the timer.
 	deadlineWake bool
 }
-
-// aborter is a registered wait's cancellation callback. waiter implements
-// it directly (its embedded link's a is the waiter itself), so the hot
-// suspension path registers without allocating; ad-hoc callbacks wrap a
-// closure in abortFunc.
-type aborter interface {
-	abortWait(err error)
-}
-
-// waitLink is one registered wait: a node of its scope's intrusive wait
-// list, so registering and deregistering are O(1) pointer updates under
-// the scope's lock, with no map and no allocation. prev, next and scope
-// are guarded by the scope's mu; scope is non-nil exactly while the link
-// is on a list. a is set once, before the link is first registered.
-type waitLink struct {
-	prev, next *waitLink
-	scope      *cancelScope
-	a          aborter
-}
-
-// abortFunc adapts a closure to aborter (blocking-mode waits, tests).
-type abortFunc func(error)
-
-func (f abortFunc) abortWait(err error) { f(err) }
 
 // newCancelScope creates a scope under parent (nil for the root). A
 // scope derived from an already-canceled parent is born canceled.
@@ -161,13 +138,13 @@ func (s *cancelScope) cancel(err error) bool {
 			s.rt.pendingWakes.Add(-1)
 		}
 	}
-	// Detach the wait list. Clearing each link's scope here, under mu,
+	// Detach the wait list. Clearing each waiter's scope here, under mu,
 	// is what makes a later removeWait report false: the abort below now
 	// owns the wait.
 	waits := s.waits
 	s.waits = nil
-	for l := waits; l != nil; l = l.next {
-		l.scope = nil
+	for wt := waits; wt != nil; wt = wt.next {
+		wt.scope = nil
 	}
 	kids := make([]*cancelScope, 0, len(s.children))
 	for k := range s.children {
@@ -181,12 +158,12 @@ func (s *cancelScope) cancel(err error) bool {
 		s.rt.noteFatal(err)
 	}
 	// Read next before each abort: once aborted, a waiter may be recycled
-	// and its link registered on another list.
-	for l := waits; l != nil; {
-		next := l.next
-		l.prev, l.next = nil, nil
-		l.a.abortWait(err)
-		l = next
+	// and registered on another list.
+	for wt := waits; wt != nil; {
+		next := wt.next
+		wt.prev, wt.next = nil, nil
+		wt.abortWait(err)
+		wt = next
 	}
 	for _, k := range kids {
 		k.cancel(err)
@@ -261,45 +238,45 @@ func (s *cancelScope) detach() {
 	p.mu.Unlock()
 }
 
-// addWait registers l, whose a is its cancellation callback. If the
-// scope is already canceled it registers nothing and returns the cause;
-// the caller then runs its abort path itself, which closes the race
-// between suspending and a concurrent cancel.
-func (s *cancelScope) addWait(l *waitLink) error {
+// addWait registers wt, whose abortWait a cancel will run. If the scope
+// is already canceled it registers nothing and returns the cause; the
+// caller then runs the abort itself, which closes the race between
+// waiting and a concurrent cancel.
+func (s *cancelScope) addWait(wt *waiter) error {
 	s.mu.Lock()
 	if s.err != nil {
 		err := s.err
 		s.mu.Unlock()
 		return err
 	}
-	l.scope = s
-	l.prev = nil
-	l.next = s.waits
-	if l.next != nil {
-		l.next.prev = l
+	wt.scope = s
+	wt.prev = nil
+	wt.next = s.waits
+	if wt.next != nil {
+		wt.next.prev = wt
 	}
-	s.waits = l
+	s.waits = wt
 	s.mu.Unlock()
 	return nil
 }
 
 // removeWait deregisters a wait after it completed normally. It reports
-// whether l was still registered — i.e. whether the abort callback is now
-// guaranteed never to run, which tells a refcounting caller it owns the
-// reference the callback would otherwise have consumed.
-func (s *cancelScope) removeWait(l *waitLink) bool {
+// whether wt was still registered — i.e. whether its abort is now
+// guaranteed never to run, which tells the refcounting caller it owns the
+// reference the abort would otherwise have consumed.
+func (s *cancelScope) removeWait(wt *waiter) bool {
 	s.mu.Lock()
-	present := l.scope == s
+	present := wt.scope == s
 	if present {
-		if l.prev != nil {
-			l.prev.next = l.next
+		if wt.prev != nil {
+			wt.prev.next = wt.next
 		} else {
-			s.waits = l.next
+			s.waits = wt.next
 		}
-		if l.next != nil {
-			l.next.prev = l.prev
+		if wt.next != nil {
+			wt.next.prev = wt.prev
 		}
-		l.prev, l.next, l.scope = nil, nil, nil
+		wt.prev, wt.next, wt.scope = nil, nil, nil
 	}
 	s.mu.Unlock()
 	return present

@@ -55,9 +55,7 @@ func TestCanceledLatencyWaiterNotPooled(t *testing.T) {
 		for i := 0; wt == nil && i < 1000; i++ {
 			c.Latency(time.Millisecond)
 			cc.scope.mu.Lock()
-			if l := cc.scope.waits; l != nil {
-				wt = l.a.(*waiter)
-			}
+			wt = cc.scope.waits
 			cc.scope.mu.Unlock()
 		}
 		if wt == nil {
@@ -135,23 +133,27 @@ func TestRootCancelFailsRun(t *testing.T) {
 	}
 }
 
-// Config.Deadline bounds the whole run and surfaces ErrDeadline.
+// Config.Deadline bounds the whole run and surfaces ErrDeadline, in both
+// modes: a Blocking-mode Latency holds its worker but still unwinds early
+// out of the wait.
 func TestConfigDeadline(t *testing.T) {
-	start := time.Now()
-	st, err := Run(Config{Workers: 2, Deadline: 30 * time.Millisecond}, func(c *Ctx) {
-		for i := 0; i < 4; i++ {
-			c.Spawn(func(c2 *Ctx) { c2.Latency(10 * time.Second) })
+	for _, m := range modes() {
+		start := time.Now()
+		st, err := Run(Config{Workers: 2, Mode: m, Deadline: 30 * time.Millisecond}, func(c *Ctx) {
+			for i := 0; i < 4; i++ {
+				c.Spawn(func(c2 *Ctx) { c2.Latency(10 * time.Second) })
+			}
+			c.Latency(10 * time.Second)
+		})
+		if !errors.Is(err, ErrDeadline) {
+			t.Fatalf("%v: Run err = %v, want ErrDeadline", m, err)
 		}
-		c.Latency(10 * time.Second)
-	})
-	if !errors.Is(err, ErrDeadline) {
-		t.Fatalf("Run err = %v, want ErrDeadline", err)
-	}
-	if wall := time.Since(start); wall > 5*time.Second {
-		t.Errorf("run took %v; deadline did not bound it", wall)
-	}
-	if st.TasksCanceled != 5 {
-		t.Errorf("TasksCanceled = %d, want 5", st.TasksCanceled)
+		if wall := time.Since(start); wall > time.Second {
+			t.Errorf("%v: run took %v; deadline did not bound it", m, wall)
+		}
+		if st.TasksCanceled != 5 {
+			t.Errorf("%v: TasksCanceled = %d, want 5", m, st.TasksCanceled)
+		}
 	}
 }
 
@@ -194,8 +196,8 @@ func TestPanicAbortsSuspendedSiblings(t *testing.T) {
 	}
 }
 
-// Blocking-mode waits must also honor cancellation: a receiver blocked on
-// a condition variable is nudged awake by the deadline's abort callback.
+// Blocking-mode waits must also honor cancellation: a receiver waiting
+// with its worker held is woken by the deadline's abort.
 func TestBlockingModeCancelUnblocksRecv(t *testing.T) {
 	start := time.Now()
 	_, err := Run(Config{Workers: 2, Mode: Blocking}, func(c *Ctx) {

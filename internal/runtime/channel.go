@@ -30,8 +30,8 @@ var ErrChanClosed = errors.New("runtime: Chan closed")
 //
 // In Blocking mode, a receiver first helps by running tasks from its own
 // deque (else a single worker would deadlock against a producer task in
-// its own deque) and then blocks the worker on a condition variable;
-// sends never block (see sendBlocking), so capacity only exerts
+// its own deque) and then waits on the same waiter queue, holding its
+// worker; sends never wait (see Send), so capacity only exerts
 // backpressure under latency hiding.
 //
 // Close follows Go channel semantics: receives on a closed, drained
@@ -44,8 +44,7 @@ var ErrChanClosed = errors.New("runtime: Chan closed")
 // A Chan must only be used from tasks of a single Run invocation.
 type Chan[T any] struct {
 	mu       sync.Mutex
-	cond     *sync.Cond // blocking mode wakeups
-	buf      []T        // buffered values: buf[bufHead:]
+	buf      []T // buffered values: buf[bufHead:]
 	bufHead  int
 	capacity int // < 1 means unbounded
 	closed   bool
@@ -56,9 +55,7 @@ type Chan[T any] struct {
 // NewChan returns a channel with the given capacity; capacity < 1 means
 // unbounded (sends never block).
 func NewChan[T any](capacity int) *Chan[T] {
-	ch := &Chan[T]{capacity: capacity}
-	ch.cond = sync.NewCond(&ch.mu)
-	return ch
+	return &Chan[T]{capacity: capacity}
 }
 
 // Len returns the number of buffered values.
@@ -162,7 +159,6 @@ func (ch *Chan[T]) Close() {
 	ch.closed = true
 	recvq := ch.recvq.take()
 	sendq := ch.sendq.take()
-	ch.cond.Broadcast()
 	ch.mu.Unlock()
 	for _, wt := range recvq {
 		wt.deliver(faultpoint.ChanWakeup) // consumes the queue's reference
@@ -173,14 +169,18 @@ func (ch *Chan[T]) Close() {
 	}
 }
 
-// Send delivers v, suspending (LatencyHiding) or blocking (Blocking) while
-// a bounded channel is full. Sending on a closed Chan panics.
+// Send delivers v, suspending while a bounded channel is full. Sending on
+// a closed Chan panics.
+//
+// In Blocking mode Send never waits: a receiver may be helping — running
+// producer tasks inline on its own goroutine — so a sender waiting for
+// that very receiver to drain the buffer would deadlock. The baseline
+// therefore buffers without bound; capacity-based backpressure is only
+// meaningful under latency hiding, where a full send suspends the task
+// rather than the worker.
 func (ch *Chan[T]) Send(c *Ctx, v T) {
 	c.checkpoint()
-	if c.t.rt.cfg.Mode == Blocking {
-		ch.sendBlocking(v)
-		return
-	}
+	unbounded := ch.capacity < 1 || c.t.rt.cfg.Mode == Blocking
 	parked := false
 	for {
 		ch.mu.Lock()
@@ -198,7 +198,7 @@ func (ch *Chan[T]) Send(c *Ctx, v T) {
 		// which implies the buffer is transiently drained; the receiver
 		// retries immediately, so occupancy never exceeds capacity for
 		// longer than its wakeup.
-		if ch.capacity < 1 || ch.buffered() < ch.capacity || !ch.recvq.empty() {
+		if unbounded || ch.buffered() < ch.capacity || !ch.recvq.empty() {
 			ch.appendLocked(v)
 			var wt *waiter
 			if !ch.recvq.empty() {
@@ -212,10 +212,7 @@ func (ch *Chan[T]) Send(c *Ctx, v T) {
 		}
 		ch.mu.Unlock()
 		// Full: suspend this task until a receiver makes room.
-		c.injectFault(faultpoint.Suspend)
-		t := c.t
-		home := t.w.active
-		home.suspend()
+		home := c.waitHome()
 		ch.mu.Lock()
 		if ch.closed || !ch.recvq.empty() || ch.buffered() < ch.capacity {
 			// The channel changed while we were off the lock; retry the
@@ -234,9 +231,9 @@ func (ch *Chan[T]) Send(c *Ctx, v T) {
 	}
 }
 
-// Recv takes the next value, suspending (LatencyHiding) or blocking
-// (Blocking) while the channel is empty. On a closed, drained channel it
-// returns the zero value; use RecvOK to distinguish.
+// Recv takes the next value, waiting while the channel is empty. On a
+// closed, drained channel it returns the zero value; use RecvOK to
+// distinguish.
 func (ch *Chan[T]) Recv(c *Ctx) T {
 	v, _ := ch.RecvOK(c)
 	return v
@@ -246,30 +243,33 @@ func (ch *Chan[T]) Recv(c *Ctx) T {
 // or the zero value from a closed, drained channel (false).
 func (ch *Chan[T]) RecvOK(c *Ctx) (T, bool) {
 	c.checkpoint()
-	if c.t.rt.cfg.Mode == Blocking {
-		return ch.recvOKBlocking(c)
-	}
 	var zero T
-	// Fast path: one locked attempt with no suspension bookkeeping.
-	ch.mu.Lock()
-	if v, ok := ch.takeLocked(); ok {
+	blocking := c.t.rt.cfg.Mode == Blocking
+	for {
+		// Fast path: a locked attempt with no suspension bookkeeping.
+		ch.mu.Lock()
+		if v, ok := ch.takeLocked(); ok {
+			ch.mu.Unlock()
+			return v, true
+		}
+		if ch.closed {
+			ch.mu.Unlock()
+			return zero, false
+		}
 		ch.mu.Unlock()
-		return v, true
+		// Blocking mode retries after each task it helps with: the
+		// producer may be queued on this worker's own deque.
+		if !blocking || !c.helpOne() {
+			break
+		}
+		c.checkpoint()
 	}
-	if ch.closed {
-		ch.mu.Unlock()
-		return zero, false
-	}
-	ch.mu.Unlock()
-	// Slow path: suspend until a sender buffers a value and wakes us (we
+	// Slow path: wait until a sender buffers a value and wakes us (we
 	// then retry the take — another receiver may legally beat us to it)
 	// or Close wakes us empty-handed. Each cycle folds the retry and the
 	// park decision into a single critical section.
-	t := c.t
 	for {
-		c.injectFault(faultpoint.Suspend)
-		home := t.w.active
-		home.suspend()
+		home := c.waitHome()
 		ch.mu.Lock()
 		if v, ok := ch.takeLocked(); ok {
 			ch.mu.Unlock()
@@ -333,64 +333,4 @@ func (ch *Chan[T]) takeLocked() (T, bool) {
 		ch.sendq.pop().deliver(faultpoint.ChanWakeup) // consumes the queue's reference
 	}
 	return v, true
-}
-
-// sendBlocking never blocks: in Blocking mode a receiver may be helping —
-// running producer tasks inline on its own goroutine — so a sender waiting
-// for that very receiver to drain the buffer would deadlock. The baseline
-// therefore buffers without bound; capacity-based backpressure is only
-// meaningful under latency hiding, where a full send suspends the task
-// rather than the worker.
-func (ch *Chan[T]) sendBlocking(v T) {
-	ch.mu.Lock()
-	if ch.closed {
-		ch.mu.Unlock()
-		panic("runtime: send on closed Chan")
-	}
-	ch.appendLocked(v)
-	ch.cond.Broadcast()
-	ch.mu.Unlock()
-}
-
-func (ch *Chan[T]) recvOKBlocking(c *Ctx) (T, bool) {
-	var zero T
-	// Register a cancellation nudge: canceling the scope broadcasts the
-	// condition variable (under ch.mu, so the wait loop below cannot miss
-	// it between its check and cond.Wait).
-	l := &waitLink{a: abortFunc(func(error) {
-		ch.mu.Lock()
-		ch.cond.Broadcast()
-		ch.mu.Unlock()
-	})}
-	if err := c.scope.addWait(l); err != nil {
-		panic(cancelPanic{err: err})
-	}
-	defer c.scope.removeWait(l)
-	for {
-		ch.mu.Lock()
-		if v, ok := ch.takeLocked(); ok {
-			ch.mu.Unlock()
-			return v, true
-		}
-		if ch.closed {
-			ch.mu.Unlock()
-			return zero, false
-		}
-		ch.mu.Unlock()
-		c.checkpoint()
-		// Help: run a task from the worker's own deque (the producer may
-		// be queued right there); block only when nothing local remains.
-		if c.helpOne() {
-			continue
-		}
-		ch.mu.Lock()
-		if ch.buffered() == 0 && !ch.closed {
-			if err := c.scope.Err(); err != nil {
-				ch.mu.Unlock()
-				panic(cancelPanic{err: err})
-			}
-			ch.cond.Wait()
-		}
-		ch.mu.Unlock()
-	}
 }

@@ -271,6 +271,79 @@ func TestChaosCombined(t *testing.T) {
 	}
 }
 
+// runChaosBlocking runs the chaos workload in Blocking mode, followed by
+// a few external awaits, so every fault point a wakeup passes through —
+// ResumeInject (Latency, Await), ChanWakeup (Recv) and PollComplete —
+// also sees waits whose task holds its worker. It returns the workload's
+// sum; an external await that loses its payload adds a mismatch.
+func runChaosBlocking(seed uint64, inj *faultpoint.Injector) (int, error) {
+	cfg := chaosConfig(seed, inj)
+	cfg.Mode = Blocking
+	var got int
+	_, err := Run(cfg, func(c *Ctx) {
+		got = chaosWorkload(c)
+		for i := 0; i < 4; i++ {
+			v, _ := AwaitExternal(c, "chaos-ext", func(complete func(int, error)) func(error) {
+				go complete(1, nil)
+				return nil
+			})
+			got += v - 1
+		}
+	})
+	return got, err
+}
+
+// TestChaosBlockingDelayDup delays and duplicates Blocking-mode wakeups at
+// the rates of the latency-hiding scenarios: a late wakeup only holds its
+// worker longer, and the epoch claim discards every duplicate — the wake
+// must never send a second resume to a task that already has its worker
+// back — so the result is exact.
+func TestChaosBlockingDelayDup(t *testing.T) {
+	for _, act := range []faultpoint.Action{faultpoint.Delay, faultpoint.Dup} {
+		for _, seed := range chaosSeeds {
+			inj := faultpoint.New(seed).
+				Set(faultpoint.ResumeInject, faultpoint.Rule{Action: act, Rate: 0.20, Delay: 2 * time.Millisecond}).
+				Set(faultpoint.ChanWakeup, faultpoint.Rule{Action: act, Rate: 0.20, Delay: time.Millisecond}).
+				Set(faultpoint.PollComplete, faultpoint.Rule{Action: act, Rate: 0.20, Delay: time.Millisecond})
+			got, err := runChaosBlocking(seed, inj)
+			if err != nil {
+				t.Fatalf("%v seed %d: Run: %v (faults: %s)", act, seed, err, inj.Summary())
+			}
+			if got != chaosWant {
+				t.Fatalf("%v seed %d: sum = %d, want %d (faults: %s)", act, seed, got, chaosWant, inj.Summary())
+			}
+		}
+	}
+}
+
+// TestChaosBlockingDropDeadline drops every Blocking-mode wakeup. The
+// watchdog cannot see those waits — each holds its worker, which counts
+// as running (Config.StallTimeout) — so the run deadline is what ends the
+// run: its abort bypasses the injector, every waiting task unwinds, and
+// Run returns ErrDeadline without leaving a goroutine behind.
+func TestChaosBlockingDropDeadline(t *testing.T) {
+	base := goruntime.NumGoroutine()
+	drop := faultpoint.Rule{Action: faultpoint.Drop, Rate: 1}
+	for _, seed := range chaosSeeds {
+		inj := faultpoint.New(seed).
+			Set(faultpoint.ResumeInject, drop).
+			Set(faultpoint.ChanWakeup, drop).
+			Set(faultpoint.PollComplete, drop)
+		cfg := chaosConfig(seed, inj)
+		cfg.Mode = Blocking
+		cfg.Deadline = 50 * time.Millisecond
+		start := time.Now()
+		_, err := Run(cfg, func(c *Ctx) { chaosWorkload(c) })
+		if !errors.Is(err, ErrDeadline) {
+			t.Fatalf("seed %d: Run err = %v, want ErrDeadline (faults: %s)", seed, err, inj.Summary())
+		}
+		if el := time.Since(start); el > 2*time.Second {
+			t.Errorf("seed %d: run took %v; the %v deadline did not end it", seed, el, cfg.Deadline)
+		}
+	}
+	waitGoroutines(t, base+3)
+}
+
 // chaosStormWorkload is the bulk-injection shape: stormWidth consumers
 // all park on one channel, so every broadcast round re-injects a wide
 // batch through drainResumed's single pfor push, and the consumers' pooled

@@ -62,14 +62,12 @@ func (k WaitKind) String() string {
 // the epoch claim and falls away harmlessly.
 type ExternalHandle struct {
 	wt *waiter
-	bk *extBlock
 }
 
 // Complete delivers the operation's result (a byte count and an error,
-// both passed through to the awaiting task) and wakes the task. In
-// latency-hiding mode the wakeup routes through the PollComplete fault
-// point, so chaos runs can delay, duplicate, or drop poller completions
-// like any other resume.
+// both passed through to the awaiting task) and wakes the task. The
+// wakeup routes through the PollComplete fault point, so chaos runs can
+// delay, duplicate, or drop poller completions like any other resume.
 //
 // The return reports whether the payload was handed to the awaiting
 // task: false means a cancellation claimed the suspension first and the
@@ -79,9 +77,6 @@ type ExternalHandle struct {
 //
 //lhws:nosuspend
 func (h ExternalHandle) Complete(n int, err error) bool {
-	if h.bk != nil {
-		return h.bk.complete(n, err)
-	}
 	wt := h.wt
 	// Publish the payload before the wake: the claiming CAS orders these
 	// writes before the task reads them, and an abort winner never reads
@@ -95,17 +90,10 @@ func (h ExternalHandle) Complete(n int, err error) bool {
 // its operation canceled: the abort that interrupted it wakes the task
 // itself (abortWait), so a normal Complete would race that wake for the
 // epoch claim — and, on winning, hand the unwinding task a kicked
-// attempt's payload as if the operation had succeeded. In Blocking mode
-// there is no separate abort wake (the worker parks on the completion
-// rendezvous itself, and the scope's registration decides the unwind),
-// so Discard still completes the rendezvous there.
+// attempt's payload as if the operation had succeeded.
 //
 //lhws:nosuspend
 func (h ExternalHandle) Discard(err error) {
-	if h.bk != nil {
-		h.bk.complete(0, err)
-		return
-	}
 	h.wt.release()
 }
 
@@ -129,8 +117,9 @@ type ExternalOp interface {
 // allocation-free: op is typically a pooled pointer, and converting a
 // pointer to an interface does not allocate.
 //
-// In Blocking mode the worker blocks until the completion arrives — the
-// block-the-worker baseline the paper's evaluation compares against.
+// In Blocking mode the task waits on the same waiter but keeps its worker
+// until the completion arrives — the block-the-worker baseline the
+// paper's evaluation compares against.
 //
 // If the task's scope is canceled during the wait, the runtime calls
 // op.CancelExternal and the task unwinds (cancellation is an unwind, not
@@ -142,16 +131,13 @@ type ExternalOp interface {
 // I/O latencies the workload legitimately expects.
 func (c *Ctx) AwaitExternalOp(site string, kind WaitKind, op ExternalOp) (int, error) {
 	c.checkpoint()
-	if c.t.rt.cfg.Mode == Blocking {
-		return c.awaitExternalBlocking(op)
-	}
-	c.injectFault(faultpoint.Suspend)
 	t := c.t
-	home := t.w.active
-	home.suspend()
-	wt := c.beginWait(site, kind, home, nil)
+	wt := c.beginWait(site, kind, c.waitHome(), nil)
 	wt.refs.Add(1) // the completer's event reference, consumed by Complete
 	wt.ext = op
+	// Arm before registering with the scope: the registration and a
+	// canceling scope both take scope.mu, so this order is what publishes
+	// Arm's writes (e.g. an op's stored cancel hook) to CancelExternal.
 	op.Arm(ExternalHandle{wt: wt})
 	c.armScope(wt)
 	c.finishWait(wt)
@@ -160,59 +146,6 @@ func (c *Ctx) AwaitExternalOp(site string, kind WaitKind, op ExternalOp) (int, e
 	n, err := t.extN, t.extErr
 	t.extN, t.extErr = 0, nil
 	return n, err
-}
-
-// extBlock is the Blocking-mode completion rendezvous: the worker parks
-// on done, holding its slot — the baseline's cost by construction.
-type extBlock struct {
-	mu        sync.Mutex
-	completed bool
-	n         int
-	err       error
-	done      chan struct{}
-}
-
-//lhws:nosuspend
-func (bk *extBlock) complete(n int, err error) bool {
-	bk.mu.Lock()
-	first := !bk.completed
-	if first {
-		bk.completed = true
-		bk.n, bk.err = n, err
-		close(bk.done)
-	}
-	bk.mu.Unlock()
-	// The rendezvous always consumes the first completion (the blocking
-	// awaiter reads it even after an abort kicked the op), so only a
-	// duplicate's payload is discarded.
-	return first
-}
-
-func (c *Ctx) awaitExternalBlocking(op ExternalOp) (int, error) {
-	bk := &extBlock{done: make(chan struct{})}
-	h := ExternalHandle{bk: bk}
-	l := &waitLink{a: abortFunc(func(err error) {
-		op.CancelExternal(h, err)
-	})}
-	// Arm before registering the abort: addWait and the canceling scope
-	// both take scope.mu, so this order is what publishes Arm's writes
-	// (e.g. an op's stored cancel hook) to a concurrent CancelExternal.
-	op.Arm(h)
-	if err := c.scope.addWait(l); err != nil {
-		// Born canceled: interrupt the operation we just armed (its late
-		// Complete hits the rendezvous harmlessly) and unwind.
-		op.CancelExternal(h, err)
-		panic(cancelPanic{err: err})
-	}
-	<-bk.done
-	if !c.scope.removeWait(l) {
-		// A cancel claimed the registration: unwind like every other
-		// blocking-mode wait, whatever the completer managed to deliver.
-		if err := c.scope.Err(); err != nil {
-			panic(cancelPanic{err: err})
-		}
-	}
-	return bk.n, bk.err
 }
 
 // AwaitExternal adapts any callback-style completion into a heavy-edge

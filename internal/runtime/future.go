@@ -12,8 +12,7 @@ import (
 // Futures returned by Spawn are heap-allocated once and never recycled —
 // the caller may hold them indefinitely.
 type Future struct {
-	mu   sync.Mutex
-	cond sync.Cond // lazily targets mu; blocking-mode waits only
+	mu sync.Mutex
 	// done is stored (under mu, after err) exactly once per life; a reader
 	// that loads true may read err without the lock. Joins on a child that
 	// has already finished — most joins of a fan-out — take that path.
@@ -30,16 +29,8 @@ type Future struct {
 	nd *pforNode
 }
 
-//lhws:nonblocking
-func newFuture() *Future {
-	f := &Future{}
-	f.cond.L = &f.mu
-	return f
-}
-
-// complete marks the future done with the child's outcome, resumes
-// suspended waiters (latency-hiding mode), and wakes blocked workers
-// (blocking mode). Waiters are delivered while f.mu is held, so a racing
+// complete marks the future done with the child's outcome and wakes its
+// waiters. Waiters are delivered while f.mu is held, so a racing
 // cancelWait either dequeues its waiter first or finds it consumed; that
 // is safe because deliver/wake take only leaf locks (injector, deque,
 // worker) and never a Future's.
@@ -53,7 +44,6 @@ func (f *Future) complete(err error) {
 	}
 	f.err = err
 	f.done.Store(true)
-	f.cond.Broadcast()
 	if wt := f.w0; wt != nil {
 		f.w0 = nil
 		wt.deliver(faultpoint.ResumeInject)
@@ -123,11 +113,12 @@ func (f *Future) Err() error {
 // In Blocking mode, the worker first helps — repeatedly popping its own
 // deque and running tasks as function calls (the conventional join
 // protocol of blocking work-stealing runtimes; without it a single worker
-// would deadlock on its own children) — and blocks on a condition variable
-// once no local work remains.
+// would deadlock on its own children) — and once no local work remains
+// the task waits for the completion on the same waiter, holding its
+// worker.
 //
 // If the calling task's scope is canceled, Await unwinds it — before
-// suspending, or early out of the wait.
+// waiting, or early out of the wait.
 func (f *Future) Await(c *Ctx) { _ = f.AwaitErr(c) }
 
 // AwaitErr is Await returning the child's outcome: nil on success, or
@@ -138,17 +129,19 @@ func (f *Future) AwaitErr(c *Ctx) error {
 		return f.err
 	}
 	if c.t.rt.cfg.Mode == Blocking {
-		return f.awaitBlocking(c)
-	}
-	if child := c.popUnstolen(f); child != nil {
+		for c.helpOne() {
+			if f.done.Load() {
+				return f.err
+			}
+			c.checkpoint()
+		}
+	} else if child := c.popUnstolen(f); child != nil {
 		return c.runInline(child)
 	}
-	c.injectFault(faultpoint.Suspend)
-	home := c.t.w.active
 	// Order matters: make the suspension visible on the deque before
 	// registering as a waiter, so a completion racing with this Await sees
 	// a consistent counter when it fires the resume.
-	home.suspend()
+	home := c.waitHome()
 	f.mu.Lock()
 	if f.done.Load() {
 		f.mu.Unlock()
@@ -212,8 +205,11 @@ func (c *Ctx) popUnstolen(f *Future) *task {
 
 // helpOne runs one task from the caller's own deque as a function call;
 // false means the deque was empty. Blocking mode only, where tasks never
-// yield: every item is a fresh singleton, so it runs through the same
-// runInline as a latency-hiding join on an unstolen child.
+// report a suspension to the worker loop: every item is a fresh
+// singleton, so it runs through the same runInline as a latency-hiding
+// join on an unstolen child. A waiter that helps until the deque is dry
+// waits with nothing local left behind it: while its worker is held,
+// nothing but its own task pushes there.
 //
 //lhws:owner the waiting task holds its worker's owner role and runs the popped task on its own goroutine
 func (c *Ctx) helpOne() bool {
@@ -223,45 +219,6 @@ func (c *Ctx) helpOne() bool {
 	}
 	c.runInline(c.t.w.resolveItem(it))
 	return true
-}
-
-func (f *Future) awaitBlocking(c *Ctx) error {
-	// Register a cancellation nudge: canceling the scope broadcasts the
-	// condition variable (under f.mu, so the wait loop below cannot miss
-	// it between its check and cond.Wait).
-	l := &waitLink{a: abortFunc(func(error) {
-		f.mu.Lock()
-		f.cond.Broadcast()
-		f.mu.Unlock()
-	})}
-	if err := c.scope.addWait(l); err != nil {
-		panic(cancelPanic{err: err})
-	}
-	defer c.scope.removeWait(l)
-	for {
-		if f.Done() {
-			return f.Err()
-		}
-		c.checkpoint()
-		// Help: run tasks from the worker's own deque as function calls.
-		if c.helpOne() {
-			continue
-		}
-		// Nothing local: block until completion or cancellation. Work
-		// available elsewhere stays available to other workers — this
-		// worker is blocked, which is precisely the baseline's cost.
-		f.mu.Lock()
-		for !f.done.Load() {
-			if err := c.scope.Err(); err != nil {
-				f.mu.Unlock()
-				panic(cancelPanic{err: err})
-			}
-			f.cond.Wait()
-		}
-		err := f.err
-		f.mu.Unlock()
-		return err
-	}
 }
 
 // Value is a Future carrying a result of type T. Create with SpawnValue.

@@ -54,8 +54,8 @@ func TestNoGoroutineLeakAfterPanic(t *testing.T) {
 	waitGoroutines(t, base+3)
 }
 
-// Blocking mode reaches the same guarantee through the condition-variable
-// abort path: receivers blocked inside cond.Wait are nudged out.
+// Blocking mode reaches the same guarantee through the same abort path:
+// receivers waiting with their worker held are woken and unwind.
 func TestNoGoroutineLeakAfterPanicBlocking(t *testing.T) {
 	base := goruntime.NumGoroutine()
 	for i := 0; i < 5; i++ {

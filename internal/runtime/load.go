@@ -1,14 +1,11 @@
 package runtime
 
-import "sync"
-
 // This file is the scheduler's load signal: a point-in-time saturation
 // estimate an admission controller (lhws/internal/admit) samples to
-// decide between admitting, degrading, and rejecting new work. The
-// inputs are the three symptoms of overload the paper's server scenario
-// exhibits when requests outpace P workers: ready work piling up on
-// deques, thieves failing to find anything stealable (everything is
-// running or suspended), and external completions backing up.
+// decide between admitting, degrading, and rejecting new work. Its input
+// is the symptom of overload the paper's server scenario exhibits when
+// requests outpace P workers: runnable work piling up beside busy
+// workers.
 //
 // Sampling is pull-based and O(P): the admission path asks at request
 // granularity, so the scheduler hot paths pay nothing to maintain the
@@ -25,34 +22,13 @@ type Load struct {
 	// slot is busy, and an admission signal that ignored it would keep
 	// reading "idle" straight through a collapse.
 	ReadyTasks int
-	// ReadyDeques is the number of deques holding at least one queued
-	// item.
-	ReadyDeques int
 	// Running is the number of workers currently granting their slot to
 	// a task.
 	Running int
-	// PendingExternal is the number of tasks suspended on external
-	// completions (socket readiness, callbacks): admitted work parked in
-	// the I/O layer that will come back as CPU demand.
-	PendingExternal int
-	// StealFailRate is the fraction of steal attempts since the previous
-	// sample that found nothing to steal. Under light load steals fail
-	// because there is no work; combined with high ReadyTasks it instead
-	// indicates work trapped in running/suspended subtrees. When no
-	// attempts happened in the window the previous rate is carried over.
-	StealFailRate float64
 	// Saturation is the headline estimate: (ReadyTasks + Running) / P.
 	// ~0 means idle capacity, ~1 means exactly busy, >1 means queueing —
 	// each admitted request waits for roughly Saturation service times.
 	Saturation float64
-}
-
-// loadSampler holds the across-sample state for rate computation.
-type loadSampler struct {
-	mu           sync.Mutex
-	lastAttempts int64
-	lastSteals   int64
-	lastRate     float64
 }
 
 // LoadSignal samples the runtime's current load. It is safe to call from
@@ -69,16 +45,10 @@ func (rt *runtimeState) loadSignal() Load {
 	for _, w := range rt.workers {
 		w.mu.Lock()
 		if a := w.active; a != nil {
-			if n := a.q.Len(); n > 0 {
-				ld.ReadyTasks += n
-				ld.ReadyDeques++
-			}
+			ld.ReadyTasks += a.q.Len()
 		}
 		for _, d := range w.ready {
-			if n := d.q.Len(); n > 0 {
-				ld.ReadyTasks += n
-				ld.ReadyDeques++
-			}
+			ld.ReadyTasks += d.q.Len()
 		}
 		resumedDq = append(resumedDq, w.resumedDq...)
 		w.mu.Unlock()
@@ -92,23 +62,6 @@ func (rt *runtimeState) loadSignal() Load {
 		d.mu.Unlock()
 	}
 	ld.Running = int(rt.runningTotal())
-	ld.PendingExternal = int(rt.extPending.Load())
-
-	var attempts, steals int64
-	for i := range rt.shards {
-		attempts += rt.shards[i].stealAttempts.Load()
-		steals += rt.shards[i].steals.Load()
-	}
-	s := &rt.loadSamp
-	s.mu.Lock()
-	dA, dS := attempts-s.lastAttempts, steals-s.lastSteals
-	if dA > 0 {
-		s.lastRate = float64(dA-dS) / float64(dA)
-	}
-	ld.StealFailRate = s.lastRate
-	s.lastAttempts, s.lastSteals = attempts, steals
-	s.mu.Unlock()
-
 	if p := rt.cfg.Workers; p > 0 {
 		ld.Saturation = float64(ld.ReadyTasks+ld.Running) / float64(p)
 	}

@@ -101,7 +101,6 @@ func (w *worker) releaseTask(t *task) {
 	t.fn = nil
 	t.fut = nil
 	t.scope = nil
-	t.home = nil
 	t.err = nil
 	t.wakeErr = nil
 	t.extN = 0
@@ -122,9 +121,7 @@ func (rt *runtimeState) getWaiter() *waiter {
 	if v := rt.pools.waiters.Get(); v != nil {
 		return v.(*waiter)
 	}
-	wt := &waiter{}
-	wt.link.a = wt
-	return wt
+	return &waiter{}
 }
 
 // getRdeque returns an idle recycled deque (re-owned by w) or a fresh

@@ -62,10 +62,13 @@ func (d *rdeque) suspend() {
 
 // unsuspend reverses a suspend that never committed — the fast path of an
 // Await that found the future already done after marking the suspension.
+// A nil home (a Blocking-mode wait, see Ctx.waitHome) counted nothing.
 //
 //lhws:nonblocking
 func (d *rdeque) unsuspend() {
-	d.suspendCtr.Add(-1)
+	if d != nil {
+		d.suspendCtr.Add(-1)
+	}
 }
 
 // snapshot reads the suspension counter and pending-resume count for

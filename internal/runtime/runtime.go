@@ -21,10 +21,12 @@
 //     still fresh at the bottom of the awaiter's deque — pops the child and
 //     runs it as a function call.
 //
-//   - Blocking: standard work stealing. Latency operations block the
-//     worker for their full duration (time.Sleep on the worker's
-//     goroutine); Await helps by running queued tasks as function calls
-//     and otherwise blocks the worker until the future completes.
+//   - Blocking: standard work stealing. Every wait — Latency, Await, a
+//     channel receive, an external completion — holds the worker for its
+//     full duration. It waits on the same claimable waiter as a
+//     suspension, but has no home deque: the task keeps its worker, and
+//     the wake hands it straight back. Await and Recv first help by
+//     running queued tasks from the worker's own deque as function calls.
 //
 // Tasks are goroutines, but scheduled cooperatively: a task runs only while
 // it holds its worker's slot, and control passes back to the worker loop at
@@ -278,11 +280,6 @@ type runtimeState struct {
 	// fault-delayed re-injections): a run with pending wakes is waiting,
 	// not stalled.
 	pendingWakes atomic.Int64
-	// extPending counts outstanding external suspensions (KindFD /
-	// KindExternal): tasks parked on socket readiness or callback
-	// completions. It feeds the load signal (see load.go), not the
-	// watchdog — an fd that never fires is still a stall.
-	extPending atomic.Int64
 	// activeTargets counts deques whose targetNs is currently nonzero
 	// (see rdeque.noteTarget). The steal path reads it to skip the
 	// time.Now() call and EDF victim scan whenever no latency target
@@ -302,8 +299,6 @@ type runtimeState struct {
 	// poolStop, closed when the run drains, releases every pooled task
 	// goroutine parked between lives (see task.main).
 	poolStop chan struct{}
-	// loadSamp is the load signal's across-sample state (see load.go).
-	loadSamp loadSampler
 	// wheel is the run's shared hashed timer wheel: Latency expirations,
 	// scope deadlines, and fault-delayed wakeups all ride it, so many
 	// thousand sleeping tasks cost one timer goroutine.
@@ -343,15 +338,6 @@ func (c *Ctx) Aux(key any, ctor func() (value any, closer func())) any {
 	}
 	return v
 }
-
-// Mode reports the scheduling mode of the runtime executing the task, so
-// layered subsystems can pick the suspending or the blocking (baseline)
-// implementation of an operation.
-func (c *Ctx) Mode() Mode { return c.t.rt.cfg.Mode }
-
-// NumWorkers reports the runtime's worker count P; layered subsystems
-// size their helper pools from it (O(P), never O(connections)).
-func (c *Ctx) NumWorkers() int { return c.t.rt.cfg.Workers }
 
 // Wheel returns the run's shared hashed timer wheel — the same one that
 // drives Latency expirations and scope deadlines. Run-scoped subsystems

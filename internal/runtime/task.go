@@ -51,7 +51,6 @@ type task struct {
 	// exclusively. started cannot serve — it stays true across pooled lives.
 	fresh   bool
 	recycle bool    // shell returns to the pool on completion
-	home    *rdeque // deque the task belongs to while suspended
 	w       *worker // current worker; task-goroutine access only
 	// scope is the cancellation scope of the code running on the task's
 	// goroutine, the one checkpoint tests: the scope the task was spawned
@@ -222,7 +221,7 @@ func (c *Ctx) Worker() int { return c.t.w.id }
 //lhws:owner a running task holds its worker's owner role between resume and report (see task)
 func (c *Ctx) Spawn(f func(*Ctx)) *Future {
 	c.checkpoint()
-	fut := newFuture()
+	fut := &Future{}
 	child := c.t.w.acquireTask(f)
 	child.scope = c.scope
 	child.fut = fut
@@ -242,26 +241,20 @@ func (c *Ctx) Spawn(f func(*Ctx)) *Future {
 }
 
 // Latency models a latency-incurring operation (a remote call, a disk
-// read, a user prompt) taking d of wall-clock time but no CPU.
+// read, a user prompt) taking d of wall-clock time but no CPU. A timer on
+// the run's wheel ends the wait when d elapses.
 //
-// In LatencyHiding mode the task suspends: a timer callback returns it to
-// its deque when d elapses and the worker immediately schedules other
-// work. In Blocking mode the worker sleeps for the full duration — the
-// baseline behaviour the paper's evaluation compares against.
+// In LatencyHiding mode the task suspends: the timer returns it to its
+// deque and the worker meanwhile schedules other work. In Blocking mode
+// the worker is held for the full duration — the baseline behaviour the
+// paper's evaluation compares against.
 //
 // If the task's scope is canceled, Latency unwinds the task — before
-// suspending, or early out of the wait (the timer is stopped).
+// waiting, or early out of the wait (the timer is stopped).
 func (c *Ctx) Latency(d time.Duration) {
 	c.checkpoint()
-	if c.t.rt.cfg.Mode == Blocking {
-		time.Sleep(d)
-		return
-	}
-	c.injectFault(faultpoint.Suspend)
 	t := c.t
-	home := c.t.w.active
-	home.suspend()
-	wt := c.beginWait("latency", KindTimer, home, nil)
+	wt := c.beginWait("latency", KindTimer, c.waitHome(), nil)
 	t.rt.pendingWakes.Add(1)
 	wt.refs.Add(1) // timer reference, consumed by deliver
 	wt.timed = true
@@ -290,7 +283,7 @@ func latencyFired(arg any) {
 //
 //lhws:nosuspend
 func (c *Ctx) armScope(wt *waiter) {
-	if err := c.scope.addWait(&wt.link); err != nil {
+	if err := c.scope.addWait(wt); err != nil {
 		wt.abortWait(err)
 	}
 }
@@ -304,10 +297,14 @@ func (c *Ctx) injectFault(p faultpoint.Point) {
 	}
 }
 
-// yield returns control to the worker loop, reporting suspension, and
-// parks until some worker resumes the task; the Ctx is rebound to the
-// resuming worker.
-func (c *Ctx) yield() {
-	c.t.report <- reportSuspended
+// yield parks the task until a worker resumes it; the Ctx is rebound to
+// the resuming worker. With report set it first returns control to the
+// worker loop, reporting suspension; without (a Blocking-mode wait) the
+// worker stays held in runTask and the claiming wake resumes the task
+// with that same worker.
+func (c *Ctx) yield(report bool) {
+	if report {
+		c.t.report <- reportSuspended
+	}
 	c.t.w = <-c.t.resume
 }

@@ -8,18 +8,23 @@ import (
 	"lhws/internal/timerwheel"
 )
 
-// waiter represents one suspension of one task: a claimable wakeup
-// token. Wakeups for a suspended task can arrive from several
-// goroutines — the Latency timer, a channel peer, a future completion,
-// a cancellation abort, and (under fault injection) duplicates of any
-// of those. Exactly one of them may re-inject the task; the rest must
-// be no-ops. The claim is a CAS on the task's suspension epoch: the
-// epoch captured at suspension time is only valid until someone
-// advances it, so duplicated or stale wakeups — including a delayed
-// duplicate arriving after the task has already suspended again
-// elsewhere, or after the task's pooled shell has been reused for a new
-// life — fail the CAS and fall away harmlessly (shell epochs are never
-// reset; see task).
+// waiter represents one wait of one task: a claimable wakeup token.
+// Wakeups for a waiting task can arrive from several goroutines — the
+// Latency timer, a channel peer, a future completion, a cancellation
+// abort, and (under fault injection) duplicates of any of those. Exactly
+// one of them may resume the task; the rest must be no-ops. The claim is
+// a CAS on the task's suspension epoch: the epoch captured when the wait
+// began is only valid until someone advances it, so duplicated or stale
+// wakeups — including a delayed duplicate arriving after the task has
+// already waited again elsewhere, or after the task's pooled shell has
+// been reused for a new life — fail the CAS and fall away harmlessly
+// (shell epochs are never reset; see task).
+//
+// Both modes wait through waiters. They differ in one field: a
+// latency-hiding waiter has a home deque, the task suspends (its worker
+// moves on) and the claim re-injects it there; a Blocking-mode waiter
+// has none, the task's worker stays held in runTask for the wait — the
+// baseline's cost — and the claim hands the task straight back.
 //
 // Waiters are pooled. Recycling is reference-counted: refs counts the
 // parties that may still dereference the waiter — the suspending task
@@ -37,14 +42,18 @@ import (
 // A waiter whose timer was stopped therefore never returns to the pool;
 // the GC takes it.
 type waiter struct {
-	// link is the waiter's entry on its scope's wait list; link.a is the
-	// waiter itself, set once at allocation.
-	link  waitLink
-	t     *task
-	epoch uint64
-	home  *rdeque
-	tm    timerwheel.Timer // the Latency timer, armed in place
-	timed bool             // tm is armed for this suspension
+	// prev, next and scope make the waiter an entry of its scope's
+	// intrusive wait list (cancelScope.waits): registering and
+	// deregistering are O(1) pointer updates under the scope's mu, which
+	// guards all three; scope is non-nil exactly while the waiter is on a
+	// list.
+	prev, next *waiter
+	scope      *cancelScope
+	t          *task
+	epoch      uint64
+	home       *rdeque          // nil in Blocking mode
+	tm         timerwheel.Timer // the Latency timer, armed in place
+	timed      bool             // tm is armed for this suspension
 	// src, when non-nil, is the queue the waiter is parked on (a Future
 	// or a Chan); the cancellation abort asks it to dequeue the waiter
 	// before waking it.
@@ -75,11 +84,25 @@ type wakeSource interface {
 	cancelWait(wt *waiter, err error)
 }
 
-// beginWait opens a suspension of c's task: it advances the task's epoch
-// (odd = waiting), pins the home deque for the resume, and stamps the
-// waiter with what the watchdog reports (site, kind, start time, worker).
-// It runs task-side, before the waiter is published to any wakeup source.
-// The caller has already called home.suspend().
+// waitHome is the task side of entering a wait: it runs the Suspend fault
+// point and returns the deque the task will resume to — the worker's
+// active deque, its suspension counted — or nil in Blocking mode, where
+// the task keeps its worker for the wait. This is where a wait's mode is
+// decided: beginWait, wake and finishWait key off the nil home.
+func (c *Ctx) waitHome() *rdeque {
+	c.injectFault(faultpoint.Suspend)
+	if c.t.rt.cfg.Mode == Blocking {
+		return nil
+	}
+	home := c.t.w.active
+	home.suspend()
+	return home
+}
+
+// beginWait opens a wait of c's task: it advances the task's epoch (odd =
+// waiting) and stamps the waiter with its home deque (from waitHome) and
+// what the watchdog reports (site, kind, start time, worker). It runs
+// task-side, before the waiter is published to any wakeup source.
 //
 // It is a Ctx method because the wait belongs to the calling handle's
 // scope, not the task's spawn scope: armScope registers it there, and a
@@ -94,7 +117,6 @@ type wakeSource interface {
 //lhws:nosuspend
 func (c *Ctx) beginWait(site string, kind WaitKind, home *rdeque, src wakeSource) *waiter {
 	t := c.t
-	t.home = home
 	e := t.epoch.Add(1)
 	wt := t.rt.getWaiter()
 	wt.t = t
@@ -109,15 +131,15 @@ func (c *Ctx) beginWait(site string, kind WaitKind, home *rdeque, src wakeSource
 	wt.worker = t.w.id
 	wt.extN, wt.extErr = 0, nil
 	wt.refs.Store(2)
+	if home == nil {
+		return wt // Blocking mode: the worker waits too, so nothing suspends
+	}
 	// A suspending task pins its target to the home deque it will resume
 	// to, so deadline-aware selection keeps following the request across
 	// suspensions (and across steals that moved it off its spawn deque).
 	// The nil check covers harness-built handles without a scope.
 	if s := c.scope; s != nil && s.target != 0 {
 		home.noteTarget(s.target, s)
-	}
-	if kind == KindFD || kind == KindExternal {
-		t.rt.extPending.Add(1)
 	}
 	t.w.stat.suspensions.Add(1)
 	return wt
@@ -139,11 +161,13 @@ func (wt *waiter) release() {
 	}
 }
 
-// wake claims the suspension and re-injects the task onto its deque's
-// resumed set. abortErr non-nil marks a cancellation wake: the task
+// wake claims the wait and resumes the task: onto its home deque's
+// resumed set, or — in Blocking mode, with no home — straight back on
+// the task's own resume channel, whose one slot is empty while the task
+// holds its worker. abortErr non-nil marks a cancellation wake: the task
 // will unwind with that error instead of continuing its operation.
-// Returns false if another wakeup already claimed this suspension. The
-// caller must hold a reference; wake itself does not release one.
+// Returns false if another wakeup already claimed this wait. The caller
+// must hold a reference; wake itself does not release one.
 //
 //lhws:nosuspend
 func (wt *waiter) wake(abortErr error) bool {
@@ -157,14 +181,15 @@ func (wt *waiter) wake(abortErr error) bool {
 	// payload is copied onto the task here because the waiter may be
 	// recycled before the task reads it.
 	t.wakeErr = abortErr
-	if wt.kind == KindFD || wt.kind == KindExternal {
-		t.rt.extPending.Add(-1)
-	}
 	if abortErr == nil {
 		// Only a completion wake carries a payload. An abort wake must not
 		// read these fields: a stale Complete (about to lose this claim)
 		// may still be writing them, and the unwinding task never looks.
 		t.extN, t.extErr = wt.extN, wt.extErr
+	}
+	if wt.home == nil {
+		t.resume <- t.w
+		return true
 	}
 	wt.home.addResumed(t)
 	return true
@@ -176,7 +201,7 @@ func (wt *waiter) wake(abortErr error) bool {
 // operation, and wakes the task with err. It consumes the scope
 // reference, so it must be called exactly once — by the canceling scope,
 // or inline by armScope when registration finds the scope already
-// canceled. waiter's abortWait implements the scope's aborter interface.
+// canceled.
 //
 //lhws:nosuspend
 func (wt *waiter) abortWait(err error) {
@@ -254,12 +279,13 @@ func deliverDelayed(arg any) {
 	wt.release()
 }
 
-// finishWait yields to the worker loop and, once resumed, deregisters
-// the wait from the scope, releases the task's references, and unwinds
-// if the wake was an abort.
+// finishWait parks the task until the claiming wake resumes it — handing
+// its worker back to the worker loop first unless it is a Blocking-mode
+// wait — and then deregisters the wait from the scope, releases the
+// task's references, and unwinds if the wake was an abort.
 func (c *Ctx) finishWait(wt *waiter) {
-	c.yield()
-	if c.scope.removeWait(&wt.link) {
+	c.yield(wt.home != nil)
+	if c.scope.removeWait(wt) {
 		// Deregistered before the scope fired: the scope's abort will
 		// never run, so its reference is released here. If removeWait
 		// found nothing, a concurrent (or past) cancel owns the abort

@@ -164,11 +164,10 @@ func (rt *runtimeState) stallError(quiet time.Duration) *StallError {
 		for k := range s.children {
 			stack = append(stack, k)
 		}
-		for l := s.waits; l != nil; l = l.next {
-			// Skip blocking-mode waits (not waiters), and waits already
-			// claimed whose task has not run yet.
-			wt, ok := l.a.(*waiter)
-			if !ok || wt.t.epoch.Load() != wt.epoch {
+		for wt := s.waits; wt != nil; wt = wt.next {
+			// Skip Blocking-mode waits (no home deque: their worker counts as
+			// running), and waits already claimed whose task has not run yet.
+			if wt.home == nil || wt.t.epoch.Load() != wt.epoch {
 				continue
 			}
 			waits = append(waits, StallWait{Site: wt.site, Kind: wt.kind, Age: now.Sub(wt.since), Worker: wt.worker})
