@@ -3,7 +3,7 @@ GO ?= go
 # Core packages whose hot paths the race/vet gates guard.
 CORE := ./internal/deque/... ./internal/runtime/... ./internal/sched/...
 
-.PHONY: all build cross-build test race race-core vet lhws-vet lint chaos bench-runtime bench-goodput bench-goodput-smoke bench-smoke bench-repo-smoke ci figures clean
+.PHONY: all build cross-build test race race-core vet lhws-vet lint chaos fuzz-sim bench-runtime bench-goodput bench-goodput-smoke bench-smoke bench-repo-smoke ci figures clean
 
 all: build
 
@@ -58,6 +58,12 @@ lint:
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos' -v ./internal/runtime/ ./internal/io/
 
+# fuzz-sim fuzzes the simulated schedulers for 20 s. LHWS and WS run on
+# one engine, so FuzzSchedulersAgree is the differential check between
+# them; plain `go test` runs only its seed corpus.
+fuzz-sim:
+	$(GO) test ./internal/sched -run '^$$' -fuzz=FuzzSchedulersAgree -fuzztime=20s
+
 # bench-runtime prints the hot-path microbenchmarks (ns/op + allocs/op;
 # see EXPERIMENTS.md "Runtime overheads"). A local profile, not a record:
 # speed claims go through the repo benchmark (BENCHMARK.json).
@@ -96,7 +102,7 @@ bench-repo-smoke:
 	cd benchmark && $(GO) test ./...
 
 # ci mirrors .github/workflows/ci.yml.
-ci: build cross-build lint vet test race chaos bench-smoke bench-goodput-smoke bench-repo-smoke
+ci: build cross-build lint vet test race chaos fuzz-sim bench-smoke bench-goodput-smoke bench-repo-smoke
 
 figures:
 	$(GO) run ./cmd/lhws-bench -exp fig11 -svg figures

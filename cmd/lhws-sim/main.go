@@ -72,7 +72,7 @@ func main() {
 	}
 	fmt.Printf("workload: %s\n", w)
 
-	opt := sched.Options{Workers: *p, Seed: *seed, TrackDepths: true}
+	opt := sched.Options{Workers: *p, Seed: *seed}
 	var tl *trace.Timeline
 	if *gantt || *csv || *summary {
 		tl = trace.NewTimeline(*p)

@@ -176,7 +176,7 @@ func Lemmas(seed uint64) (*LemmaResult, error) {
 	for _, w := range ws {
 		u := w.G.SuspensionWidth()
 		for _, p := range []int{1, 4, 16} {
-			r, err := sched.RunLHWS(w.G, sched.Options{Workers: p, Seed: seed, TrackDepths: true})
+			r, err := sched.RunLHWS(w.G, sched.Options{Workers: p, Seed: seed})
 			if err != nil {
 				return nil, err
 			}

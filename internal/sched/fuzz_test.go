@@ -9,9 +9,10 @@ import (
 
 // FuzzSchedulersAgree generates a random weighted dag and runs all three
 // schedulers plus the §7 variants over it: every run must complete every
-// vertex while respecting dependencies and latencies, LHWS must satisfy
-// the Lemma-2 invariants, and the structural bounds (Lemma 7, suspension
-// width) must hold.
+// vertex while respecting dependencies and latencies, LHWS and WS must
+// satisfy the Lemma-2 invariants, and the structural bounds (Lemma 7,
+// suspension width) must hold. LHWS and WS share one engine, so this is
+// also the differential check between them.
 func FuzzSchedulersAgree(f *testing.F) {
 	f.Add(uint64(1), uint8(40), uint8(60), uint8(2))
 	f.Add(uint64(7), uint8(200), uint8(120), uint8(5))
@@ -56,7 +57,7 @@ func FuzzSchedulersAgree(f *testing.F) {
 		check("lhws-frozen", frozen, err)
 		nd, err := RunLHWS(g, Options{Workers: p, Seed: seed, Variant: VariantResumeNewDeque})
 		check("lhws-newdeq", nd, err)
-		ws, err := RunWS(g, Options{Workers: p, Seed: seed})
+		ws, err := RunWS(g, Options{Workers: p, Seed: seed, CheckInvariants: true})
 		check("ws", ws, err)
 		gr, err := RunGreedy(g, p)
 		check("greedy", gr, err)

@@ -13,12 +13,30 @@ import (
 // performs one iteration of the scheduling loop (execute an assigned
 // vertex, or switch deques, or attempt a steal), which is the unit-cost
 // model of the paper's analysis. Runs are deterministic given opt.Seed.
-func RunLHWS(g *dag.Graph, opt Options) (*Result, error) {
+func RunLHWS(g *dag.Graph, opt Options) (*Result, error) { return runSim(g, opt, false) }
+
+// RunWS executes the dag with standard (non-latency-hiding) work stealing,
+// the baseline labeled "WS" in the paper's Figure 11. It is the RunLHWS
+// engine with one rule changed: when an executed vertex enables a child
+// over a heavy edge, the worker busy-waits for the full latency and then
+// continues with that child, as a conventional runtime does when a task
+// performs synchronous I/O. Nothing suspends, so each worker keeps its one
+// deque, never switches and never injects a pfor tree; the blocked
+// worker's deque remains stealable. Thieves pick a random victim worker
+// and take the top of its deque: opt.Policy is forced to
+// StealWorkerThenDeque, and opt.Variant has no effect.
+func RunWS(g *dag.Graph, opt Options) (*Result, error) {
+	opt.Policy = StealWorkerThenDeque
+	return runSim(g, opt, true)
+}
+
+func runSim(g *dag.Graph, opt Options, blocking bool) (*Result, error) {
 	o, err := opt.withDefaults(g)
 	if err != nil {
 		return nil, err
 	}
 	s := newLHWSSim(g, o)
+	s.blocking = blocking
 	return s.run()
 }
 
@@ -38,11 +56,17 @@ type lhwsWorker struct {
 	empty    []*ldeque // emptyDeques free list (Figure 5)
 	assigned *node
 	live     int // allocated (non-freed) deques owned, for Lemma 7
+	// blockedUntil is the first round at which a RunWS worker may run
+	// again; pending holds the heavy-edge children it then continues with,
+	// last pushed first (at most two: a vertex has out-degree ≤ 2).
+	blockedUntil int64
+	pending      []*node
 }
 
 type lhwsSim struct {
-	g   *dag.Graph
-	opt Options
+	g        *dag.Graph
+	opt      Options
+	blocking bool // RunWS: heavy edges block the worker instead of suspending
 
 	round     int64
 	joinLeft  []int32 // unexecuted parents per vertex
@@ -132,14 +156,25 @@ func (s *lhwsSim) run() (*Result, error) {
 		// steals deterministic: executors act in index order (their effects
 		// are local to their own deques), then acquirers act in a random
 		// permutation so no worker has a systematic arbitration advantage.
+		// A blocked RunWS worker does neither; once its latency expires it
+		// continues with its pending children.
 		executed := false
 		for i, w := range s.workers {
+			if w.assigned == nil && w.blockedUntil <= s.round {
+				w.assigned = s.popPending(w)
+			}
 			hadAssigned[i] = avail[i] && w.assigned != nil
 			executed = executed || hadAssigned[i]
 		}
 		for i, w := range s.workers {
-			if hadAssigned[i] {
+			switch {
+			case hadAssigned[i]:
 				s.executeStep(w)
+			case avail[i] && w.blockedUntil > s.round:
+				s.stats.BlockedRounds++
+				if s.opt.Tracer != nil {
+					s.opt.Tracer.Record(s.round, w.id, ActionBlocked)
+				}
 			}
 		}
 		if s.remaining == 0 {
@@ -147,8 +182,8 @@ func (s *lhwsSim) run() (*Result, error) {
 			break
 		}
 		for _, i := range perm {
-			if avail[i] && !hadAssigned[i] {
-				s.acquireStep(s.workers[i])
+			if w := s.workers[i]; avail[i] && !hadAssigned[i] && w.blockedUntil <= s.round {
+				s.acquireStep(w)
 			}
 		}
 		s.round++
@@ -159,7 +194,8 @@ func (s *lhwsSim) run() (*Result, error) {
 				return nil, fmt.Errorf("%w: %v", ErrInvariant, s.audit.err)
 			}
 		}
-		if !executed && len(s.timers) == 0 && s.queuedItems == 0 && s.pendingResumed == 0 &&
+		// curSuspended counts both pending timers and blocked-on children.
+		if !executed && s.curSuspended == 0 && s.queuedItems == 0 && s.pendingResumed == 0 &&
 			s.remaining > 0 && s.noneAssigned() {
 			return nil, ErrStuck
 		}
@@ -212,7 +248,8 @@ func (s *lhwsSim) fireTimers() {
 
 // executeStep runs Figure 3 lines 33-40 for one worker: execute the
 // assigned vertex, handle the right child, inject resumed vertices, handle
-// the left child, then pop the next assigned vertex from the active deque.
+// the left child, then pop the next assigned vertex from the active deque
+// (under RunWS, an expired pending child comes first).
 //
 //lhws:nonblocking
 func (s *lhwsSim) executeStep(w *lhwsWorker) {
@@ -236,12 +273,28 @@ func (s *lhwsSim) executeStep(w *lhwsWorker) {
 		}
 	}
 
-	if w.active != nil && !w.active.frozen {
-		if nb := w.active.popBottom(); nb != nil {
-			s.queuedItems--
-			w.assigned = nb
-		}
+	if w.blockedUntil > s.round {
+		return // RunWS: the worker holds until its latency expires
 	}
+	w.assigned = s.popPending(w)
+	if w.assigned == nil && w.active != nil && !w.active.frozen {
+		w.assigned = s.pop(w.active)
+	}
+}
+
+// popPending returns the child a RunWS worker blocked on most recently,
+// or nil if it has none.
+//
+//lhws:nonblocking
+func (s *lhwsSim) popPending(w *lhwsWorker) *node {
+	n := len(w.pending)
+	if n == 0 {
+		return nil
+	}
+	nd := w.pending[n-1]
+	w.pending = w.pending[:n-1]
+	s.curSuspended--
+	return nd
 }
 
 // executeUser executes a dag vertex and handles its children in the
@@ -279,45 +332,52 @@ func (s *lhwsSim) executeUser(w *lhwsWorker, n *node) {
 		right = &edges[1]
 	}
 	if right != nil {
-		s.handleChild(w, n, n.depth+1, *right)
+		s.handleChild(w, n.depth+1, *right)
 	}
-	injected := s.addResumedVertices2(w, n, left != nil)
+	injected := s.addResumedVertices(w, n, left != nil)
 	if left != nil {
 		leftDepth := n.depth + 1
 		if injected {
 			leftDepth = n.depth + 2 // through the auxiliary vertex u′
 		}
-		s.handleChild(w, n, leftDepth, *left)
+		s.handleChild(w, leftDepth, *left)
 	}
 }
 
 // handleChild implements Figure 3 lines 16-22: when executing a vertex
 // enables a child, the child is either suspended (heavy in-edge: install a
 // callback and bump the active deque's suspension counter) or pushed onto
-// the bottom of the active deque at the given enabling-tree depth.
+// the bottom of the active deque at the given enabling-tree depth. Under
+// RunWS a heavy in-edge instead blocks the worker until the latency
+// expires, with the child pending at the same depth.
 //
 //lhws:nonblocking
-func (s *lhwsSim) handleChild(w *lhwsWorker, parent *node, depth int64, e dag.OutEdge) {
+func (s *lhwsSim) handleChild(w *lhwsWorker, depth int64, e dag.OutEdge) {
 	s.joinLeft[e.To]--
 	if s.joinLeft[e.To] > 0 {
 		return // not yet enabled: another parent is outstanding
 	}
-	if e.Heavy() {
-		q := w.active
-		q.suspendCtr++
-		if s.opt.Variant == VariantSuspendDeque {
-			// §7 ablation: freeze the whole deque until a resume.
-			q.frozen = true
-		}
-		s.curSuspended++
-		if s.curSuspended > s.stats.MaxSuspended {
-			s.stats.MaxSuspended = s.curSuspended
-		}
-		at := s.round + e.Weight
-		s.timers[at] = append(s.timers[at], timerEvent{v: e.To, q: q})
+	if !e.Heavy() {
+		s.push(w.active, &node{v: e.To, depth: depth, addedRound: s.round})
 		return
 	}
-	s.push(w.active, &node{v: e.To, depth: depth, addedRound: s.round})
+	s.curSuspended++
+	if s.curSuspended > s.stats.MaxSuspended {
+		s.stats.MaxSuspended = s.curSuspended
+	}
+	at := s.round + e.Weight
+	if s.blocking {
+		w.pending = append(w.pending, &node{v: e.To, depth: depth, addedRound: s.round})
+		w.blockedUntil = max(w.blockedUntil, at)
+		return
+	}
+	q := w.active
+	q.suspendCtr++
+	if s.opt.Variant == VariantSuspendDeque {
+		// §7 ablation: freeze the whole deque until a resume.
+		q.frozen = true
+	}
+	s.timers[at] = append(s.timers[at], timerEvent{v: e.To, q: q})
 }
 
 // executePfor executes a pfor-tree internal vertex: split the range of
@@ -330,7 +390,7 @@ func (s *lhwsSim) executePfor(w *lhwsWorker, n *node) {
 	s.stats.PforWork++
 	mid := n.lo + (n.hi-n.lo)/2
 	s.push(w.active, s.pforChild(n, mid, n.hi, n.depth+1))
-	injected := s.addResumedVertices2(w, n, true)
+	injected := s.addResumedVertices(w, n, true)
 	leftDepth := n.depth + 1
 	if injected {
 		leftDepth = n.depth + 2
@@ -346,26 +406,19 @@ func (s *lhwsSim) pforChild(parent *node, lo, hi int, depth int64) *node {
 	return &node{pfor: parent.pfor, lo: lo, hi: hi, depth: depth, addedRound: s.round}
 }
 
-// addResumedVertices implements Figure 3 lines 7-14 from a scheduling
-// point with no currently-executing vertex (deque switch or steal): for
-// every owned deque with newly resumed vertices, push one vertex
-// encapsulating a parallel-for over the batch (a single resumed vertex is
-// pushed directly) and mark the deque ready.
+// addResumedVertices implements Figure 3 lines 7-14: for every owned deque
+// with newly resumed vertices, push one vertex encapsulating a
+// parallel-for over the batch (a single resumed vertex is pushed directly)
+// and mark the deque ready, following the §4.1 depth rules.
+// cur is the vertex being executed when called mid-step (nil at a deque
+// switch or steal); leftPending reports whether cur will also enable a
+// left child, which determines whether the pfor root pushed onto the
+// active deque hangs off cur directly (depth+1) or via an auxiliary vertex
+// (depth+2, Figure 6(d)). It returns whether a node was pushed onto the
+// active deque.
 //
 //lhws:nonblocking
-func (s *lhwsSim) addResumedVertices(w *lhwsWorker) {
-	s.addResumedVertices2(w, nil, false)
-}
-
-// addResumedVertices2 is addResumedVertices with the §4.1 depth rules.
-// cur is the vertex being executed when called mid-step (nil otherwise);
-// leftPending reports whether cur will also enable a left child, which
-// determines whether the pfor root pushed onto the active deque hangs off
-// cur directly (depth+1) or via an auxiliary vertex (depth+2, Figure 6(d)).
-// It returns whether a node was pushed onto the active deque.
-//
-//lhws:nonblocking
-func (s *lhwsSim) addResumedVertices2(w *lhwsWorker, cur *node, leftPending bool) bool {
+func (s *lhwsSim) addResumedVertices(w *lhwsWorker, cur *node, leftPending bool) bool {
 	injectedActive := false
 	if len(w.resumed) == 0 {
 		return false
@@ -444,8 +497,7 @@ func (s *lhwsSim) acquireStep(w *lhwsWorker) {
 		case !q.empty():
 			// Defensive: the active deque can only be non-empty here if a
 			// resumed batch was injected after the last pop; take from it.
-			w.assigned = q.popBottom()
-			s.queuedItems--
+			w.assigned = s.pop(q)
 			return
 		case q.suspendCtr == 0 && !q.inResumedSet:
 			// Figure 3 lines 42-43, with one divergence from the paper's
@@ -471,11 +523,8 @@ func (s *lhwsSim) acquireStep(w *lhwsWorker) {
 		if s.opt.Tracer != nil {
 			s.opt.Tracer.Record(s.round, w.id, ActionSwitch)
 		}
-		s.addResumedVertices(w)
-		if nb := w.active.popBottom(); nb != nil {
-			s.queuedItems--
-			w.assigned = nb
-		}
+		s.addResumedVertices(w, nil, false)
+		w.assigned = s.pop(w.active)
 		return
 	}
 
@@ -499,12 +548,9 @@ func (s *lhwsSim) acquireStep(w *lhwsWorker) {
 		}
 		s.opt.Tracer.Record(s.round, w.id, a)
 	}
-	s.addResumedVertices(w)
+	s.addResumedVertices(w, nil, false)
 	if w.assigned == nil && w.active != nil {
-		if nb := w.active.popBottom(); nb != nil {
-			s.queuedItems--
-			w.assigned = nb
-		}
+		w.assigned = s.pop(w.active)
 	}
 }
 
@@ -534,8 +580,13 @@ func (s *lhwsSim) pickVictim(w *lhwsWorker) *ldeque {
 				candidates = append(candidates, q)
 			}
 		}
-		if len(candidates) == 0 {
+		switch len(candidates) {
+		case 0:
 			return nil
+		case 1:
+			// No draw: a steal from a one-deque worker (every RunWS
+			// steal) costs exactly the victim-worker draw.
+			return candidates[0]
 		}
 		return candidates[w.rnd.Intn(len(candidates))]
 	default:
@@ -577,4 +628,13 @@ func (s *lhwsSim) newDeque(w *lhwsWorker) *ldeque {
 func (s *lhwsSim) push(q *ldeque, n *node) {
 	q.pushBottom(n)
 	s.queuedItems++
+}
+
+//lhws:nonblocking
+func (s *lhwsSim) pop(q *ldeque) *node {
+	n := q.popBottom()
+	if n != nil {
+		s.queuedItems--
+	}
+	return n
 }

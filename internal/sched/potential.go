@@ -51,7 +51,6 @@ type PotentialTrace struct {
 // measures the enabling span S*, the second recomputes Φ at every round
 // boundary (determinism makes the passes identical). LHWS only.
 func TracePotential(g *dag.Graph, opt Options) (*PotentialTrace, error) {
-	opt.TrackDepths = true
 	first, err := RunLHWS(g, opt)
 	if err != nil {
 		return nil, err

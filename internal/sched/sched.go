@@ -15,10 +15,11 @@
 //     target a uniformly random deque (not worker) and start a fresh deque
 //     on success. Expected time O(W/P + S·U·(1+lg U)).
 //
-//   - RunWS: standard non-preemptive work stealing. A latency-incurring
-//     operation blocks its worker for the full latency — the worker
-//     busy-waits, hiding nothing — which is the baseline labeled "WS" in
-//     the paper's Figure 11.
+//   - RunWS: standard non-preemptive work stealing, the baseline labeled
+//     "WS" in the paper's Figure 11. It is the RunLHWS engine with one rule
+//     changed: a heavy edge blocks its worker for the full latency — the
+//     worker busy-waits, hiding nothing — instead of suspending the child,
+//     so each worker keeps one deque and thieves pick a random worker.
 //
 //   - RunGreedy: the offline greedy scheduler of Theorem 1, which executes
 //     as many ready vertices as possible each round and achieves length
@@ -67,26 +68,25 @@ type Options struct {
 	// Seed drives all randomized decisions. Runs with equal seeds and
 	// options are bit-for-bit identical.
 	Seed uint64
-	// Policy selects the steal-victim policy (LHWS only).
+	// Policy selects the steal-victim policy of RunLHWS. RunWS sets it to
+	// StealWorkerThenDeque.
 	Policy StealPolicy
 	// MaxRounds aborts runaway executions. Zero selects a generous default
 	// derived from the dag's work and total latency.
 	MaxRounds int64
-	// TrackDepths enables enabling-tree depth accounting (Lemma 2), needed
-	// for Result.EnablingSpan. Costs a little memory per vertex.
-	TrackDepths bool
 	// Tracer, when non-nil, receives one Action per worker per round.
 	// Tracing a long execution is memory-heavy; see internal/trace for
 	// collectors.
 	Tracer Tracer
 	// CheckInvariants audits the analysis invariants of Lemma 2 (enabling
 	// depth bound and deque depth ordering) every round, aborting with
-	// ErrInvariant on the first violation. LHWS only; costs O(queue
-	// contents) per round.
+	// ErrInvariant on the first violation. RunLHWS and RunWS; costs
+	// O(queue contents) per round.
 	CheckInvariants bool
-	// Variant selects the suspension-handling strategy (LHWS only); the
+	// Variant selects the suspension-handling strategy of RunLHWS; the
 	// non-default variants implement the prior multi-deque designs the
-	// paper's related work (§7) contrasts against.
+	// paper's related work (§7) contrasts against. RunWS ignores it:
+	// nothing suspends there.
 	Variant Variant
 	// Available, when non-nil, simulates a multiprogrammed environment
 	// (the Arora–Blumofe–Plaxton setting the paper's dedicated-environment
@@ -95,7 +95,7 @@ type Options struct {
 	// picks which workers run uniformly at random. Latency timers keep
 	// running while workers are descheduled, as real I/O would. The
 	// function must be deterministic in its argument for runs to be
-	// reproducible. LHWS only.
+	// reproducible. RunLHWS and RunWS.
 	Available func(round int64) int
 }
 
@@ -140,7 +140,7 @@ type Action int8
 // buckets of Lemma 1 (work, switch, steal) plus the baseline's blocked
 // state and the idle state.
 const (
-	ActionIdle      Action = iota // no action available (greedy/WS only)
+	ActionIdle      Action = iota // never recorded: marks a cell with no recorded action
 	ActionWork                    // executed a dag vertex
 	ActionPfor                    // executed a pfor-tree internal vertex
 	ActionSwitch                  // switched to another ready deque
@@ -222,7 +222,8 @@ type Stats struct {
 	// BlockedRounds counts worker-rounds spent blocked on latency
 	// (WS baseline only: the latency the baseline fails to hide).
 	BlockedRounds int64
-	// IdleRounds counts worker-rounds with no action available.
+	// IdleRounds counts worker-rounds with no action available (RunGreedy
+	// only).
 	IdleRounds int64
 	// DescheduledRounds counts worker-rounds lost to the simulated OS in
 	// multiprogrammed runs (Options.Available).
@@ -238,8 +239,8 @@ type Stats struct {
 	// counted once).
 	TotalDequesAllocated int
 	// EnablingSpan is S*, the depth of the deepest executed vertex in the
-	// enabling tree (only when Options.TrackDepths; Corollary 1 bounds it
-	// by O(S(1+lg U))).
+	// enabling tree (RunLHWS and RunWS; Corollary 1 bounds it by
+	// O(S(1+lg U)) under LHWS).
 	EnablingSpan int64
 }
 
@@ -273,7 +274,7 @@ type node struct {
 	// entries[lo:hi) of the resumed batch.
 	pfor   []resumedEntry
 	lo, hi int
-	// depth is the node's depth in the enabling tree (TrackDepths only).
+	// depth is the node's depth in the enabling tree.
 	depth int64
 	// addedRound is the round the node was pushed onto its deque, used for
 	// the auxiliary-chain depth accounting of Lemma 2.

@@ -353,14 +353,16 @@ func TestCorollary1EnablingSpan(t *testing.T) {
 		u := w.G.SuspensionWidth()
 		lg := math.Log2(float64(u) + 1)
 		bound := int64(4 * float64(s) * (1 + lg))
-		for _, p := range []int{1, 4} {
-			res, err := RunLHWS(w.G, Options{Workers: p, Seed: 6, TrackDepths: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Stats.EnablingSpan > bound {
-				t.Errorf("%s P=%d: S* = %d > 4·S(1+lgU) = %d (S=%d U=%d)",
-					w.Name, p, res.Stats.EnablingSpan, bound, s, u)
+		for rname, run := range map[string]runner{"LHWS": RunLHWS, "WS": RunWS} {
+			for _, p := range []int{1, 4} {
+				res, err := run(w.G, Options{Workers: p, Seed: 6})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Stats.EnablingSpan > bound {
+					t.Errorf("%s/%s P=%d: S* = %d > 4·S(1+lgU) = %d (S=%d U=%d)",
+						w.Name, rname, p, res.Stats.EnablingSpan, bound, s, u)
+				}
 			}
 		}
 	}
@@ -529,16 +531,19 @@ func TestGreedyIdleAccounting(t *testing.T) {
 }
 
 // TestLemma2Invariants audits the analysis invariants (enabling-depth
-// bound, deque depth ordering) on every test graph, worker count, and
-// steal policy: the auditor aborts the run on the first violation.
+// bound, deque depth ordering) on every test graph and worker count, for
+// both LHWS steal policies and for WS: the auditor aborts the run on the
+// first violation.
 func TestLemma2Invariants(t *testing.T) {
 	for gname, g := range testGraphs(t) {
-		for _, policy := range []StealPolicy{StealRandomDeque, StealWorkerThenDeque} {
+		for rname, run := range runners() {
+			if rname == "Greedy" {
+				continue // no deques, nothing to audit
+			}
 			for _, p := range []int{1, 2, 4, 8} {
-				opt := Options{Workers: p, Seed: 31, Policy: policy, CheckInvariants: true, TrackDepths: true}
-				res, err := RunLHWS(g, opt)
+				res, err := run(g, Options{Workers: p, Seed: 31, CheckInvariants: true})
 				if err != nil {
-					t.Fatalf("%s/%v P=%d: %v", gname, policy, p, err)
+					t.Fatalf("%s/%s P=%d: %v", gname, rname, p, err)
 				}
 				assertValidExecution(t, g, res)
 			}
@@ -665,7 +670,7 @@ func TestPotentialTrace(t *testing.T) {
 // first exactly, so the sampled round count matches the measured rounds.
 func TestPotentialDeterministicAcrossPasses(t *testing.T) {
 	g := workload.MapReduce(workload.MapReduceConfig{N: 8, Delta: 11, FibWork: 3}).G
-	res, err := RunLHWS(g, Options{Workers: 2, Seed: 23, TrackDepths: true})
+	res, err := RunLHWS(g, Options{Workers: 2, Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -697,11 +702,13 @@ func TestMultiprogrammedValid(t *testing.T) {
 	}
 	for gname, g := range testGraphs(t) {
 		for pname, pat := range patterns {
-			res, err := RunLHWS(g, Options{Workers: 8, Seed: 37, Available: pat})
-			if err != nil {
-				t.Fatalf("%s/%s: %v", gname, pname, err)
+			for rname, run := range map[string]runner{"LHWS": RunLHWS, "WS": RunWS} {
+				res, err := run(g, Options{Workers: 8, Seed: 37, Available: pat})
+				if err != nil {
+					t.Fatalf("%s/%s/%s: %v", gname, pname, rname, err)
+				}
+				assertValidExecution(t, g, res)
 			}
-			assertValidExecution(t, g, res)
 		}
 	}
 }
@@ -904,7 +911,7 @@ func TestFigure6EnablingTree(t *testing.T) {
 		t.Fatalf("U = %d, want 2", got)
 	}
 	for _, p := range []int{1, 2, 3} {
-		res, err := RunLHWS(g, Options{Workers: p, Seed: 14, TrackDepths: true, CheckInvariants: true})
+		res, err := RunLHWS(g, Options{Workers: p, Seed: 14, CheckInvariants: true})
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}

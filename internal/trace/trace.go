@@ -60,23 +60,28 @@ type Buckets struct {
 	Idle    int64
 }
 
+// add counts one action in its bucket.
+func (b *Buckets) add(a sched.Action) {
+	switch a {
+	case sched.ActionWork, sched.ActionPfor:
+		b.Work++
+	case sched.ActionSwitch:
+		b.Switch++
+	case sched.ActionStealHit, sched.ActionStealMiss:
+		b.Steal++
+	case sched.ActionBlocked:
+		b.Blocked++
+	default:
+		b.Idle++
+	}
+}
+
 // Buckets tallies the timeline into Lemma-1 buckets.
 func (t *Timeline) Buckets() Buckets {
 	var b Buckets
 	for _, row := range t.rows {
 		for _, a := range row {
-			switch a {
-			case sched.ActionWork, sched.ActionPfor:
-				b.Work++
-			case sched.ActionSwitch:
-				b.Switch++
-			case sched.ActionStealHit, sched.ActionStealMiss:
-				b.Steal++
-			case sched.ActionBlocked:
-				b.Blocked++
-			default:
-				b.Idle++
-			}
+			b.add(a)
 		}
 	}
 	return b
@@ -174,19 +179,7 @@ func (t *Timeline) WorkerBuckets() []Buckets {
 	out := make([]Buckets, t.workers)
 	for _, row := range t.rows {
 		for w, a := range row {
-			b := &out[w]
-			switch a {
-			case sched.ActionWork, sched.ActionPfor:
-				b.Work++
-			case sched.ActionSwitch:
-				b.Switch++
-			case sched.ActionStealHit, sched.ActionStealMiss:
-				b.Steal++
-			case sched.ActionBlocked:
-				b.Blocked++
-			default:
-				b.Idle++
-			}
+			out[w].add(a)
 		}
 	}
 	return out
@@ -196,15 +189,10 @@ func (t *Timeline) WorkerBuckets() []Buckets {
 func (t *Timeline) Summary() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-8s %10s %10s %10s %10s %10s\n", "worker", "work", "switch", "steal", "blocked", "idle")
-	var tot Buckets
 	for w, b := range t.WorkerBuckets() {
 		fmt.Fprintf(&sb, "w%-7d %10d %10d %10d %10d %10d\n", w, b.Work, b.Switch, b.Steal, b.Blocked, b.Idle)
-		tot.Work += b.Work
-		tot.Switch += b.Switch
-		tot.Steal += b.Steal
-		tot.Blocked += b.Blocked
-		tot.Idle += b.Idle
 	}
+	tot := t.Buckets()
 	fmt.Fprintf(&sb, "%-8s %10d %10d %10d %10d %10d\n", "total", tot.Work, tot.Switch, tot.Steal, tot.Blocked, tot.Idle)
 	return sb.String()
 }
@@ -216,17 +204,4 @@ type Counter struct {
 }
 
 // Record implements sched.Tracer.
-func (c *Counter) Record(round int64, worker int, a sched.Action) {
-	switch a {
-	case sched.ActionWork, sched.ActionPfor:
-		c.B.Work++
-	case sched.ActionSwitch:
-		c.B.Switch++
-	case sched.ActionStealHit, sched.ActionStealMiss:
-		c.B.Steal++
-	case sched.ActionBlocked:
-		c.B.Blocked++
-	default:
-		c.B.Idle++
-	}
-}
+func (c *Counter) Record(round int64, worker int, a sched.Action) { c.B.add(a) }

@@ -91,7 +91,9 @@ const (
 func RunLHWS(g *Graph, opt SchedOptions) (*SchedResult, error) { return sched.RunLHWS(g, opt) }
 
 // RunWS executes a weighted dag with standard (blocking) work stealing —
-// the baseline of the paper's evaluation.
+// the baseline of the paper's evaluation. It is RunLHWS with heavy edges
+// that block the worker instead of suspending, and StealWorkerThenDeque
+// steals.
 func RunWS(g *Graph, opt SchedOptions) (*SchedResult, error) { return sched.RunWS(g, opt) }
 
 // RunGreedy executes a weighted dag with an offline greedy schedule,
