@@ -29,10 +29,12 @@ race:
 # return an object fails here instead of flaking in CI. The cancel and
 # watchdog tests ride along: a cancel detaching a scope's wait list races
 # the waits unlinking themselves. So do the Blocking-mode tests, whose
-# waits run on the same reference-counted, pooled waiters.
+# waits run on the same reference-counted, pooled waiters. So do the
+# coroutine tests: a shell's coroutine is switched into by one worker
+# goroutine and back in by another, and stopped by Run from a third.
 race-core:
 	$(GO) test -race -count=1 $(CORE)
-	$(GO) test -race -count=5 -run 'Pool|Recycled|TestAllocs|Cancel|Watchdog|Blocking' ./internal/runtime/
+	$(GO) test -race -count=5 -run 'Pool|Recycled|TestAllocs|Cancel|Watchdog|Blocking|Coroutine' ./internal/runtime/
 
 # vet runs go vet plus the scheduler-aware analyzers in cmd/lhws-vet
 # (see DESIGN.md §6 and §10).

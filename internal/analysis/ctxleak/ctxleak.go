@@ -19,7 +19,7 @@
 //   - sending a Ctx on a channel or appending it to a slice;
 //   - passing a Ctx to a go statement's call, or capturing one in a
 //     go statement's closure — the goroutine runs concurrently with
-//     (and can outlive) the task, outside the resume/report handoff
+//     (and can outlive) the task, outside the switch-in/yield handoff
 //     that makes task-side scheduler access safe.
 //
 // Passing a Ctx to an ordinary call or returning it to the caller

@@ -104,7 +104,9 @@ func MaySuspend(p *analysis.Program) *analysis.FactSet {
 
 // BlockingCalls maps types.Func.FullName to the reason the call parks
 // the calling goroutine. These are the leaves of the may-block summary
-// and noblock's direct table.
+// and noblock's direct table. The runtime's coroutine switch is listed by
+// name: it parks the worker through a call of a function value (the
+// iter.Pull next), which the summary cannot see into.
 var BlockingCalls = map[string]string{
 	"time.Sleep":                                  "sleeps the worker",
 	"(*sync.Mutex).Lock":                          "may park on lock contention",
@@ -120,6 +122,7 @@ var BlockingCalls = map[string]string{
 	"(*lhws/internal/deque.Locked).Len":           "mutex-backed deque; hot paths must use the lock-free ChaseLev",
 	"(*lhws/internal/deque.Locked).Empty":         "mutex-backed deque; hot paths must use the lock-free ChaseLev",
 	"(*lhws/internal/faultpoint.Injector).Inject": "sleeps or panics by design (chaos injection); worker hot paths must use Decide and act non-blockingly",
+	"(*lhws/internal/runtime.task).switchIn":      "switches into the task's coroutine until it yields",
 }
 
 // MayBlockLeaf reports whether calling fn parks the goroutine.

@@ -38,11 +38,11 @@
 // helper one package away was invisible.
 //
 // Individual operations that are blocking by design — a bounded leaf
-// critical section, the task-grant handoff — are acknowledged with a
-// statement-level //lhws:allowblock directive whose argument must state
-// the justification. Justified escapes also stop the summary
-// propagation: a blocking operation acknowledged where it happens does
-// not taint the functions above it.
+// critical section, the worker loop's coroutine switch into a task — are
+// acknowledged with a statement-level //lhws:allowblock directive whose
+// argument must state the justification. Justified escapes also stop the
+// summary propagation: a blocking operation acknowledged where it happens
+// does not taint the functions above it.
 //
 // One function may park on purpose: the worker's idle wait, which blocks
 // only once nothing is runnable, resumable or stealable. It declares

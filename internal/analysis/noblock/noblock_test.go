@@ -9,5 +9,5 @@ import (
 
 func TestNoBlock(t *testing.T) {
 	td := analysistest.TestData(t)
-	analysistest.Run(t, td, noblock.Analyzer, "lhws/a", "lhws/b", "lhws/tasknet")
+	analysistest.Run(t, td, noblock.Analyzer, "lhws/a", "lhws/b", "lhws/tasknet", "lhws/internal/runtime")
 }

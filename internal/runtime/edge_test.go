@@ -158,8 +158,8 @@ func TestStatsConsistency(t *testing.T) {
 	if st.TasksSpawned != 31 { // root + 30
 		t.Errorf("TasksSpawned = %d, want 31", st.TasksSpawned)
 	}
-	// Every task is granted a slot or run as a call by its joiner, and
-	// every suspension implies an extra grant: grants + calls ≥ spawned.
+	// Every task is switched into or run as a call by its joiner, and
+	// every suspension implies an extra switch: switches + calls ≥ spawned.
 	if st.TasksRun+st.InlineJoins < st.TasksSpawned {
 		t.Errorf("TasksRun %d + InlineJoins %d < TasksSpawned %d", st.TasksRun, st.InlineJoins, st.TasksSpawned)
 	}

@@ -267,7 +267,7 @@ func TestExternalSingleInjectionPerDrain(t *testing.T) {
 		h := <-rootOp.armed
 		h.Complete(0, nil)
 		for !rootRunning.Load() {
-			// Wait until the worker has actually granted the root again —
+			// Wait until the worker has actually switched into the root again —
 			// otherwise the root's own wake would join the fleet's batch.
 		}
 		// Phase 2: complete the whole fleet while the root spins on the

@@ -162,7 +162,7 @@ func (f *Future) AwaitErr(c *Ctx) error {
 }
 
 // popUnstolen pops the bottom item of the caller's active deque if — and
-// only if — it is f's child and that child is fresh: never granted, never
+// only if — it is f's child and that child is fresh: never switched into, never
 // run, so not a started child that suspended and was re-injected alone
 // (drainResumed pushes those as singleton nodes too). The rule is
 // deliberately strict: the bottom item is what this worker would run next

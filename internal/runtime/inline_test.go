@@ -22,7 +22,7 @@ func testFib(c *Ctx, n int) int {
 
 // TestUnstolenJoinsAreCalls: with one worker nothing can be stolen, so a
 // fork-join program (U = 0) never suspends and every spawned child runs as
-// a call — the only grant is the root's.
+// a call — the only switch into a coroutine is the root's.
 func TestUnstolenJoinsAreCalls(t *testing.T) {
 	cases := []struct {
 		name string

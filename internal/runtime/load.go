@@ -22,8 +22,7 @@ type Load struct {
 	// slot is busy, and an admission signal that ignored it would keep
 	// reading "idle" straight through a collapse.
 	ReadyTasks int
-	// Running is the number of workers currently granting their slot to
-	// a task.
+	// Running is the number of workers currently switched into a task.
 	Running int
 	// Saturation is the headline estimate: (ReadyTasks + Running) / P.
 	// ~0 means idle capacity, ~1 means exactly busy, >1 means queueing —

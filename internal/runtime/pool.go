@@ -16,27 +16,31 @@ import "sync"
 //     Boxing a slice into a sync.Pool allocates its interface header each
 //     round trip, which is the allocation the cache avoids.
 //   - worker-local free list in front of the pool: task shells. A shell
-//     holds a parked goroutine; the local list keeps the hot shells (and
-//     their warm goroutines) on the worker that spawns them. Taking shells
+//     is its struct, its resume channel and its coroutine (a parked
+//     goroutine between lives); the local list keeps the hot shells (and
+//     their warm coroutines) on the worker that spawns them. Taking shells
 //     out of the local list was measured and is too slow: pool-only shells
 //     cost mapreduce 6–10% and raised its allocs/op 2–4%, and ending a
 //     shell's goroutine when it overflows into the pool cost mapreduce 20%.
 //     Known hazard (unfixed): a shell that overflows into the pool keeps
-//     its parked goroutine, and when the GC drops the shell from the pool
+//     its parked coroutine, and when the GC drops the shell from the pool
 //     that goroutine stays parked until Run returns — at P = 2, six rounds
 //     of a 1000-wide Latency fan-out, each followed by two runtime.GC()
 //     calls, took NumGoroutine from 1006 to 5686. Worker-role handoff,
 //     which deletes parked shell goroutines, is the fix.
 //
 // Pools are per-run (hung off runtimeState) so shells never cross Run
-// invocations; parked shell goroutines exit when Run closes rt.poolStop.
+// invocations. Each worker lists the shells whose coroutines it created
+// (worker.shells), so Run stops every coroutine when the run drains —
+// those in free lists, in the pool, and those the pool has dropped.
 //
 // Safety notes, in one place:
 //
-//   - task shells: recycled only after the final reportDone handoff, which
-//     happens-before the recycling worker touches the shell. The shell's
-//     suspension epoch is never reset, so stale wakeups aimed at a
-//     previous life fail their claim CAS (see task, waiter).
+//   - task shells: recycled only after the coroutine yields done; the
+//     switch back to the worker happens-before the recycling worker
+//     touches the shell. The shell's suspension epoch is never reset, so
+//     stale wakeups aimed at a previous life fail their claim CAS (see
+//     task, waiter).
 //   - waiters: reference-counted; a waiter returns to the pool only when
 //     the suspending task, the event source, and the cancellation scope
 //     have all dropped their references, so no goroutine can call wake on
@@ -64,7 +68,7 @@ const (
 
 // runtimePools are the run's shared recycling tier (see above).
 type runtimePools struct {
-	tasks   sync.Pool // *task (shell + channels + parked goroutine), behind taskCache
+	tasks   sync.Pool // *task (shell + resume channel + coroutine), behind taskCache
 	waiters sync.Pool // *waiter
 	rdeques sync.Pool // *rdeque (idle; Chase–Lev buffer kept, indices intact)
 	nodes   sync.Pool // *pforNode
@@ -73,7 +77,7 @@ type runtimePools struct {
 
 // acquireTask returns a shell ready to run fn: from the worker-local free
 // list, the run's pool, or freshly allocated. Recycled shells keep their
-// channels, goroutine, and epoch. Owner-role access only.
+// resume channel, coroutine, and epoch. Owner-role access only.
 //
 //lhws:nonblocking
 func (w *worker) acquireTask(fn func(*Ctx)) *task {
@@ -93,8 +97,9 @@ func (w *worker) acquireTask(fn func(*Ctx)) *task {
 }
 
 // releaseTask returns a completed shell to the free list. Called by the
-// worker (or an inline helper holding its owner role) after receiving the
-// shell's reportDone, which orders all task-side writes before the reset.
+// worker after the shell's coroutine yields done (or by an inline helper
+// holding its owner role, after the call returns), which orders all
+// task-side writes before the reset.
 //
 //lhws:nonblocking
 func (w *worker) releaseTask(t *task) {

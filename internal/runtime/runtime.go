@@ -28,11 +28,17 @@
 //     the wake hands it straight back. Await and Recv first help by
 //     running queued tasks from the worker's own deque as function calls.
 //
-// Tasks are goroutines, but scheduled cooperatively: a task runs only while
-// it holds its worker's slot, and control passes back to the worker loop at
-// every scheduling point that is not such a call. This is the standard way to build a user-level
-// scheduler above the Go runtime, which does not expose its own scheduler
-// for replacement.
+// Tasks are coroutines (iter.Pull), scheduled cooperatively: a worker
+// switches into a task's coroutine to run it, the task runs only until it
+// yields back, and control passes back to the worker loop at every
+// scheduling point that is not such a call. A switch hands the thread
+// straight to the task, without a trip through Go's run queue. This is
+// the standard way to build a user-level scheduler above the Go runtime,
+// which does not expose its own scheduler for replacement. One rule
+// follows from it: a task must not suspend or return while it holds
+// runtime.LockOSThread. Go requires a coroutine's thread-lock state to
+// match its state at creation, and a switch that breaks this is a fatal
+// error, not a recoverable panic.
 //
 // On top of the scheduler sits a resilience layer:
 //
@@ -136,8 +142,8 @@ type Config struct {
 // Stats reports counters from one execution. All counts are totals across
 // workers.
 type Stats struct {
-	TasksRun           int64         // grants of a worker slot to a task goroutine (resumptions included)
-	InlineJoins        int64         // children run as a function call by the task that joined them, never granted
+	TasksRun           int64         // switches into a task's coroutine (resumptions included)
+	InlineJoins        int64         // children run as a function call by the task that joined them, never switched into
 	TasksSpawned       int64         // tasks created
 	TasksCanceled      int64         // tasks unwound by cancellation, deadline, or stall
 	TasksPanicked      int64         // tasks that panicked
@@ -184,7 +190,7 @@ func Run(cfg Config, root func(*Ctx)) (*Stats, error) {
 	if cfg.Workers < 1 {
 		return nil, fmt.Errorf("%w: Workers must be >= 1, got %d", ErrConfig, cfg.Workers)
 	}
-	rt := &runtimeState{cfg: cfg, poolStop: make(chan struct{})}
+	rt := &runtimeState{cfg: cfg}
 	rt.wheel = timerwheel.New(0)
 	rt.root = newCancelScope(rt, nil)
 	seeds := rng.New(cfg.Seed)
@@ -222,11 +228,17 @@ func Run(cfg Config, root func(*Ctx)) (*Stats, error) {
 	}
 	wg.Wait()
 	wall := time.Since(start)
-	// The run has drained: release every parked pooled task goroutine,
-	// quiesce the timer wheel (after Shutdown returns no timer callback —
-	// including the root deadline — can fire), and close run-scoped
-	// auxiliaries (the I/O dispatcher and its waiters, if one was created).
-	close(rt.poolStop)
+	// The run has drained: stop every task shell's coroutine, pooled or
+	// dropped from the pool alike, quiesce the timer wheel (after Shutdown
+	// returns no timer callback — including the root deadline — can fire),
+	// and close run-scoped auxiliaries (the I/O dispatcher and its
+	// waiters, if one was created).
+	for _, w := range rt.workers {
+		for i, t := range w.shells {
+			t.stop()
+			w.shells[i] = nil
+		}
+	}
 	close(watchStop)
 	rt.wheel.Shutdown()
 	rt.closeAux()
@@ -296,9 +308,6 @@ type runtimeState struct {
 	stats      atomicStats
 	shards     []statShard // per-worker hot counters (see stats.go)
 	pools      runtimePools
-	// poolStop, closed when the run drains, releases every pooled task
-	// goroutine parked between lives (see task.main).
-	poolStop chan struct{}
 	// wheel is the run's shared hashed timer wheel: Latency expirations,
 	// scope deadlines, and fault-delayed wakeups all ride it, so many
 	// thousand sleeping tasks cost one timer goroutine.

@@ -20,9 +20,9 @@ type statShard struct {
 	switches      atomic.Int64
 	stealAttempts atomic.Int64
 	steals        atomic.Int64
-	// running is 1 while this worker is granting its slot to a task. It
-	// lives on the shard — not a shared atomic — because it is written
-	// twice per scheduling quantum; the watchdog sums it across shards.
+	// running is 1 while this worker is switched into a task. It lives
+	// on the shard — not a shared atomic — because it is written twice
+	// per scheduling quantum; the watchdog sums it across shards.
 	running atomic.Int64
 	// resumeBatches / resumeBatchTasks count drainResumed's multi-task
 	// pfor-tree injections: a drain of n>1 resumed tasks is one batch
@@ -52,8 +52,8 @@ func (rt *runtimeState) tasksRunTotal() int64 {
 	return n
 }
 
-// runningTotal reports how many workers are currently inside a task
-// grant; like tasksRunTotal, a torn sum is acceptable for the watchdog's
+// runningTotal reports how many workers are currently switched into a
+// task; like tasksRunTotal, a torn sum is acceptable for the watchdog's
 // progress test.
 func (rt *runtimeState) runningTotal() int64 {
 	var n int64

@@ -2,14 +2,15 @@ package runtime
 
 import (
 	"fmt"
+	"iter"
 	"sync/atomic"
 	"time"
 
 	"lhws/internal/faultpoint"
 )
 
-// reportKind is what a task tells its current worker when control returns
-// to the worker loop.
+// reportKind is what a task's coroutine yields to its current worker
+// when control returns to the worker loop.
 type reportKind int8
 
 const (
@@ -17,20 +18,24 @@ const (
 	reportSuspended
 )
 
-// task is a user-level thread. Tasks are backed by goroutines but run
-// cooperatively: a task executes only between receiving a worker on its
-// resume channel and sending a report, so at most one of {worker loop,
-// its current task} is active per worker at any instant. That mutual
+// task is a user-level thread. Each task shell owns one coroutine (an
+// iter.Pull pair over main), and tasks run cooperatively: a task executes
+// only between a worker switching into its coroutine (switchIn) and the
+// coroutine yielding a report back, so at most one of {worker loop, its
+// current task} is active per worker at any instant. That mutual
 // exclusion is what makes owner-side deque operations from task code safe.
+// A switch hands the thread straight to the task (runtime.coroswitch): no
+// run queue, no wakep, no second goroutine made runnable.
 //
-// Task shells are pooled: when a recyclable task reports done, its worker
-// returns the shell — struct, resume/report channels, and the parked
-// goroutine — to the worker-local free list (overflowing into the
-// runtime's sync.Pool), and Ctx.Spawn reuses it for the next child instead
-// of paying newTask + go t.main(). The goroutine survives across lives by
-// looping in main; it exits when the run closes rt.poolStop.
+// Task shells are pooled: when a recyclable task's coroutine yields done,
+// its worker returns the shell — struct, resume channel, and coroutine —
+// to the worker-local free list (overflowing into the runtime's
+// sync.Pool), and Ctx.Spawn reuses it for the next child instead of
+// paying newTask and a new coroutine. The coroutine survives across lives
+// by looping in main; Run stops it after the run drains (see
+// worker.shells).
 //
-// A life does not have to be granted a goroutine at all: a child that is
+// A life does not have to be switched into at all: a child that is
 // still fresh at the bottom of its awaiter's deque is run as a function
 // call on the awaiter's goroutine (Ctx.runInline), and its shell only
 // lends the call its fn, scope, future and Ctx storage.
@@ -40,15 +45,23 @@ const (
 // the shell, so a stale wakeup aimed at a previous life can never claim a
 // suspension of the current one.
 type task struct {
-	rt      *runtimeState
-	fn      func(*Ctx)
-	resume  chan *worker    // scheduler → task: run on this worker
-	report  chan reportKind // task → scheduler: done or suspended
-	started bool            // goroutine launched (owner-role access only)
-	// fresh marks a life that has never been granted a slot or run inline:
+	rt *runtimeState
+	fn func(*Ctx)
+	// resume carries a Blocking-mode wake's hand-back (see waiter.wake):
+	// the task waits on it inside its coroutine while its worker stays
+	// switched in.
+	resume chan *worker
+	// next and stop are the coroutine's iter.Pull pair, created on the
+	// shell's first switch-in; yieldTo is main's yield, through which the
+	// task hands its worker back. next and stop are owner-role access
+	// only, yieldTo task-goroutine access only.
+	next    func() (reportKind, bool)
+	stop    func()
+	yieldTo func(reportKind) bool
+	// fresh marks a life that has never been switched into or run inline:
 	// set by spawn, cleared by the first runTask or runInline. It travels
 	// with the deque item, so whoever pops or steals the item reads it
-	// exclusively. started cannot serve — it stays true across pooled lives.
+	// exclusively. next cannot serve — it stays set across pooled lives.
 	fresh   bool
 	recycle bool    // shell returns to the pool on completion
 	w       *worker // current worker; task-goroutine access only
@@ -75,7 +88,7 @@ type task struct {
 	extN   int
 	extErr error
 	// err is the task's outcome, written by its own goroutine before the
-	// final report: nil, a cancellation cause, or a wrapped panic.
+	// final yield: nil, a cancellation cause, or a wrapped panic.
 	err error
 }
 
@@ -85,40 +98,41 @@ func newTask(rt *runtimeState, fn func(*Ctx)) *task {
 		rt:     rt,
 		fn:     fn,
 		resume: make(chan *worker, 1),
-		report: make(chan reportKind, 1),
 	}
 }
 
-// main is the task goroutine body: each iteration is one task life — wait
-// for the first grant, run the current user function, report — after which
-// the shell may be re-armed with a new fn by Spawn. Between lives the
-// goroutine parks on the resume channel; rt.poolStop is closed when the
-// run drains, releasing every parked shell goroutine (no leaks).
-func (t *task) main() {
+// main is the coroutine body: each iteration is one task life — run the
+// current user function, then yield done — after which the shell may be
+// re-armed with a new fn by Spawn and switched into again. After the
+// yield the coroutine must not touch any task field until it is resumed:
+// the worker may already be recycling the shell into a new life. It
+// returns when Run stops the coroutine.
+func (t *task) main(yield func(reportKind) bool) {
+	t.yieldTo = yield
 	for {
-		select {
-		case w := <-t.resume:
-			t.w = w
-			t.runOne()
-		case <-t.rt.poolStop:
+		t.ctx = Ctx{t: t, scope: t.scope}
+		t.err = t.body(&t.ctx)
+		if !yield(reportDone) {
 			return
 		}
 	}
 }
 
-// runOne runs one granted life of the shell: the body, then the report
-// that hands the slot back. After the report send the goroutine must not
-// touch any task field: the worker may already be recycling the shell into
-// a new life.
-func (t *task) runOne() {
-	t.ctx = Ctx{t: t, scope: t.scope}
-	t.err = t.body(&t.ctx)
-	t.report <- reportDone
+// switchIn runs the task on its coroutine until the coroutine yields, and
+// returns what it yielded. The first switch creates the coroutine.
+// Owner-role access only; t.w must already name the worker.
+func (t *task) switchIn() reportKind {
+	if t.next == nil {
+		t.next, t.stop = iter.Pull(t.main)
+		t.w.shells = append(t.w.shells, t)
+	}
+	r, _ := t.next()
+	return r
 }
 
 // body calls the life's user function under c and settles the outcome. It
 // is the unwind boundary of a life whether the life runs on its own
-// goroutine (runOne) or as a function call inside its awaiter (runInline):
+// coroutine (main) or as a function call inside its awaiter (runInline):
 // a panic raised in the user function stops here and becomes the returned
 // error.
 func (t *task) body(c *Ctx) (err error) {
@@ -166,9 +180,9 @@ func (rt *runtimeState) settle(r any, scope *cancelScope, fut *Future) error {
 
 // runInline runs child as a plain function call on the calling task's
 // goroutine: a join on work nobody stole is a light edge, and costs a
-// deque pop instead of a suspension and two grants. The caller has just
+// deque pop instead of a suspension and two switches. The caller has just
 // popped child from its own active deque and child is fresh, so nothing
-// else can reach it and its shell goroutine (if it has one) stays parked.
+// else can reach it and its shell coroutine (if it has one) stays parked.
 //
 // The child's code sees a Ctx of the host task under the child's scope.
 // If it reaches a heavy edge, the suspension is the host's — which is
@@ -179,8 +193,8 @@ func (rt *runtimeState) settle(r any, scope *cancelScope, fut *Future) error {
 // child becomes the returned error (the child future's error), and the
 // host unwinds only through its own next checkpoint.
 //
-// The shell is recycled afterwards, never having been granted: TasksRun
-// does not count the life, InlineJoins does.
+// The shell is recycled afterwards, never having been switched into:
+// TasksRun does not count the life, InlineJoins does.
 func (c *Ctx) runInline(child *task) error {
 	t := c.t
 	child.fresh = false
@@ -218,7 +232,11 @@ func (c *Ctx) Worker() int { return c.t.w.id }
 // The child's shell comes from the worker's task free list, so a
 // steady-state spawn costs one Future allocation plus the closure.
 //
-//lhws:owner a running task holds its worker's owner role between resume and report (see task)
+// The child runs on a coroutine, so it must not suspend or return while
+// it holds runtime.LockOSThread: Go aborts the process with a fatal error
+// when a coroutine switches with a thread lock it did not start with.
+//
+//lhws:owner a running task holds its worker's owner role between switch-in and yield (see task)
 func (c *Ctx) Spawn(f func(*Ctx)) *Future {
 	c.checkpoint()
 	fut := &Future{}
@@ -298,13 +316,15 @@ func (c *Ctx) injectFault(p faultpoint.Point) {
 }
 
 // yield parks the task until a worker resumes it; the Ctx is rebound to
-// the resuming worker. With report set it first returns control to the
-// worker loop, reporting suspension; without (a Blocking-mode wait) the
-// worker stays held in runTask and the claiming wake resumes the task
-// with that same worker.
+// the resuming worker. With report set it yields its coroutine, handing
+// control back to the worker loop with a suspension report; the worker
+// that later switches it back in has set t.w. Without (a Blocking-mode
+// wait) the worker stays switched in, waiting in runTask, and the
+// claiming wake hands the task that same worker on t.resume.
 func (c *Ctx) yield(report bool) {
 	if report {
-		c.t.report <- reportSuspended
+		c.t.yieldTo(reportSuspended)
+		return
 	}
 	c.t.w = <-c.t.resume
 }

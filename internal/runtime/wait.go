@@ -176,10 +176,11 @@ func (wt *waiter) wake(abortErr error) bool {
 		return false
 	}
 	// The claim is won: this goroutine is the unique resumer. Writes
-	// below are published to the task by the resume handoff chain
-	// (deque mutex, then the task's resume channel). The external
-	// payload is copied onto the task here because the waiter may be
-	// recycled before the task reads it.
+	// below are published to the task by the resume handoff chain: the
+	// home deque's mutex, then the deque item, then the coroutine switch
+	// of the worker that runs the task — or, with no home, the task's
+	// resume channel. The external payload is copied onto the task here
+	// because the waiter may be recycled before the task reads it.
 	t.wakeErr = abortErr
 	if abortErr == nil {
 		// Only a completion wake carries a payload. An abort wake must not

@@ -54,6 +54,12 @@ type worker struct {
 	taskCache  []*task
 	sliceCache [][]*task
 	drainBuf   []*rdeque // spare resumedDq buffer, ping-ponged by drainResumed
+
+	// shells lists every task shell whose coroutine this worker created
+	// (owner-role access only), wherever the shell is now — in a free
+	// list, dropped from the pool, or running elsewhere: Run stops them
+	// all once the run has drained.
+	shells []*task
 }
 
 func newWorker(rt *runtimeState, id int, r *rng.RNG) *worker {
@@ -65,7 +71,7 @@ func newWorker(rt *runtimeState, id int, r *rng.RNG) *worker {
 // when, after announcing, nothing is runnable, resumable or stealable
 // (see idle): a worker blocked while a ready or resumed vertex exists is
 // the idle time Theorem 2 charges to the scheduler. The only other
-// sanctioned wait is the task-grant handoff in runTask, justified at its
+// sanctioned wait is the coroutine switch in runTask, justified at its
 // call site.
 //
 // Blocking mode is the paper's baseline, a policy branch here: its worker
@@ -89,7 +95,7 @@ func (w *worker) loop() {
 		}
 		if t != nil {
 			w.foundWork()
-			w.runTask(t) //lhws:allowblock the grant handoff parks the loop only while its task runs: a latency-hiding task yields back at every scheduling point, and a blocking-mode task runs to completion on the grant, the baseline being measured
+			w.runTask(t) //lhws:allowblock the coroutine switch parks the loop only while its task runs: a latency-hiding task yields back at every scheduling point, and a blocking-mode task runs to completion once switched in, the baseline being measured
 			continue
 		}
 		if hiding {
@@ -108,23 +114,19 @@ func (w *worker) loop() {
 	}
 }
 
-// runTask grants the worker's slot to the task's goroutine and waits for
-// it to either finish or suspend. Only the worker loops grant; a task that
-// joins or helps runs the popped task as a call instead (Ctx.runInline).
-// The running counter brackets the grant so the watchdog can tell an
-// actively executing run from a stalled one. A finished shell is returned
-// to the task free list here: the report-channel receive orders every
-// task-side write before the recycle.
+// runTask switches into the task's coroutine on this worker and returns
+// when the task either finishes or suspends. Only the worker loops switch
+// into tasks; a task that joins or helps runs the popped task as a call
+// instead (Ctx.runInline). The running counter brackets the switch so the
+// watchdog can tell an actively executing run from a stalled one. A
+// finished shell is returned to the task free list here: the coroutine
+// switch back orders every task-side write before the recycle.
 func (w *worker) runTask(t *task) reportKind {
 	w.stat.tasksRun.Add(1)
 	w.stat.running.Add(1)
 	t.fresh = false
-	if !t.started {
-		t.started = true
-		go t.main()
-	}
-	t.resume <- w
-	r := <-t.report
+	t.w = w
+	r := t.switchIn()
 	w.stat.running.Add(-1)
 	if r == reportDone && t.recycle {
 		w.releaseTask(t)
