@@ -7,14 +7,16 @@
 //	lhws-bench [-exp all] [-seed 1] [-markdown]
 //	lhws-bench -exp fig11 [-delta 500] [-full] [-svg DIR]
 //	lhws-bench -exp greedy|bound|lemmas|steals|variants|potential|uwidth
-//	lhws-bench -exp wallclock|responsiveness|multiprog|scale
+//	lhws-bench -exp multiprog|scale
 //	lhws-bench -exp goodput [-goodout BENCH_goodput.json] [-goodsmoke]
 //
 // Output is a fixed-width table per experiment plus a PASS/FAIL line for
 // the experiment's shape check. -markdown switches tables to Markdown for
-// pasting into documents. -exp all runs every experiment. -exp goodput
-// writes the overload sweep to -goodout; -goodsmoke shrinks it to CI
-// smoke scale and writes no JSON.
+// pasting into documents. -exp all runs every experiment. Only an
+// explicit -exp goodput writes the overload sweep to -goodout: the
+// checked-in BENCH_goodput.json is a quiet-machine record, which -exp all
+// must not overwrite. -goodsmoke shrinks the sweep to CI smoke scale and
+// writes no JSON.
 package main
 
 import (
@@ -38,7 +40,7 @@ type tabler interface {
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment: fig11, greedy, bound, lemmas, steals, variants, potential, uwidth, wallclock, responsiveness, multiprog, scale, goodput, or all of those")
+		exp       = flag.String("exp", "all", "experiment: fig11, greedy, bound, lemmas, steals, variants, potential, uwidth, multiprog, scale, goodput, or all of those")
 		deltaMS   = flag.Float64("delta", 0, "fig11 panel latency in ms (500, 50, 1); 0 runs all three panels")
 		full      = flag.Bool("full", false, "fig11 at the paper's full scale (n=5000) instead of the laptop scale (n=500)")
 		seed      = flag.Uint64("seed", 1, "random seed")
@@ -50,7 +52,7 @@ func main() {
 	flag.Parse()
 
 	if goruntime.GOMAXPROCS(0) < 4 {
-		goruntime.GOMAXPROCS(4) // let runtime workers interleave for -exp wallclock
+		goruntime.GOMAXPROCS(4) // let runtime workers interleave for -exp goodput
 	}
 
 	ok := true
@@ -127,14 +129,6 @@ func main() {
 	if want("uwidth") {
 		run("suspension width (§5)", func() (tabler, error) { return experiments.UWidth(*seed) })
 	}
-	if want("wallclock") {
-		run("wall-clock runtime", func() (tabler, error) { return experiments.Wallclock(experiments.ScaledWallclock()) })
-	}
-	if want("responsiveness") {
-		run("interactive responsiveness", func() (tabler, error) {
-			return experiments.Responsiveness(experiments.ScaledResponsiveness())
-		})
-	}
 	if want("multiprog") {
 		run("multiprogrammed environment (ABP)", func() (tabler, error) { return experiments.Multiprogrammed(*seed) })
 	}
@@ -150,7 +144,7 @@ func main() {
 		}
 		run(label, func() (tabler, error) {
 			r, err := experiments.GoodputBench(cfg)
-			if err == nil && !*goodSmoke {
+			if err == nil && *exp == "goodput" && !*goodSmoke {
 				if werr := writeJSON(*goodOut, r); werr != nil {
 					fmt.Fprintf(os.Stderr, "json: %v\n", werr)
 					ok = false

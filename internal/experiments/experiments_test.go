@@ -8,8 +8,8 @@ import (
 )
 
 func TestMain(m *testing.M) {
-	// The wall-clock experiment runs the goroutine runtime; give its
-	// workers real OS threads even on single-core hosts.
+	// runDAG runs the goroutine runtime; give its workers real OS
+	// threads even on single-core hosts.
 	if goruntime.GOMAXPROCS(0) < 4 {
 		goruntime.GOMAXPROCS(4)
 	}
@@ -173,20 +173,6 @@ func TestUWidthExperiment(t *testing.T) {
 	}
 }
 
-func TestWallclockExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock experiment in -short mode")
-	}
-	cfg := WallclockConfig{N: 60, Delta: 4 * 1e6, Workers: []int{1, 2}, Spin: 5000} // 4ms
-	r, err := Wallclock(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Check(); err != nil {
-		t.Fatalf("%v\n%s", err, r.Table())
-	}
-}
-
 func TestVariantsExperiment(t *testing.T) {
 	r, err := Variants(17)
 	if err != nil {
@@ -199,22 +185,6 @@ func TestVariantsExperiment(t *testing.T) {
 
 func TestPotentialExperiment(t *testing.T) {
 	r, err := Potential(29)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Check(); err != nil {
-		t.Fatalf("%v\n%s", err, r.Table())
-	}
-}
-
-func TestResponsivenessExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock experiment in -short mode")
-	}
-	cfg := ScaledResponsiveness()
-	cfg.Requests = 20
-	cfg.BatchChunks = 64
-	r, err := Responsiveness(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
