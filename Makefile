@@ -70,7 +70,7 @@ fuzz-sim:
 # see EXPERIMENTS.md "Runtime overheads"). A local profile, not a record:
 # speed claims go through the repo benchmark (BENCHMARK.json).
 bench-runtime:
-	$(GO) test -run '^$$' -bench 'SpawnAwaitLadder|WideFanout|StealHeavySkew|ResumeStorm' -benchmem -benchtime 1s ./internal/runtime/
+	$(GO) test -run '^$$' -bench 'SpawnAwaitLadder|SpawnValue|MapReduce|WideFanout|StealHeavySkew|ResumeStorm' -benchmem -benchtime 1s ./internal/runtime/
 
 # bench-goodput regenerates the overload-robustness record
 # (BENCH_goodput.json): at 4x offered load the shedding server's

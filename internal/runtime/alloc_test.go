@@ -10,7 +10,8 @@ import (
 // Allocation-regression gates for the pooled hot paths. These are the
 // contract the pool layer exists to uphold: once the free lists and pools
 // are warm, a scheduling quantum costs no heap allocation beyond the
-// user-visible Future of a Spawn — inline join, suspension, resume
+// user-visible Future of a Spawn, or the one spawn record of a SpawnValue,
+// For split or MapReduce split — inline join, suspension, resume
 // injection, pfor split, and shell recycling all run on recycled objects.
 // testing.AllocsPerRun pins GOMAXPROCS to 1 for the measured runs, which
 // the cooperative handoff protocol tolerates (every wait below is a
@@ -286,6 +287,68 @@ func TestAllocsResumeInjectionSteadyState(t *testing.T) {
 		work.Close()
 		for i := 0; i < storm; i++ {
 			futs[i].Await(c)
+		}
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
+// benchValueLeaf, benchMapItem and benchSum are package-level so the gates
+// and benchmarks below count the runtime's allocations, not closures.
+var (
+	benchValueLeaf = func(*Ctx) int { return 1 }
+	benchMapItem   = func(_ *Ctx, i int) int { return i }
+	benchForItem   = func(*Ctx, int) {}
+	benchSum       = func(a, b int) int { return a + b }
+)
+
+// TestAllocsSpawnValueSteadyState gates SpawnValue + Await at one object:
+// the Value is the child's whole spawn record (Future, body and result).
+func TestAllocsSpawnValueSteadyState(t *testing.T) {
+	_, err := Run(benchConfig(1), func(c *Ctx) {
+		round := func() {
+			if SpawnValue(c, benchValueLeaf).Await(c) != 1 {
+				t.Error("SpawnValue returned a wrong result")
+			}
+		}
+		for i := 0; i < 64; i++ {
+			round()
+		}
+		if avg := testing.AllocsPerRun(200, round); avg > 1 && !raceDetectorEnabled {
+			t.Errorf("SpawnValue+Await allocates %.2f objects/op at steady state, want <= 1 (the Value)", avg)
+		}
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
+// TestAllocsMapReduceAndForSteadyState gates the library's fork-join
+// primitives at one spawn record per split: a 64-element MapReduce or
+// For with grain 1 splits 63 times.
+func TestAllocsMapReduceAndForSteadyState(t *testing.T) {
+	const n = 64
+	const splits = n - 1
+	_, err := Run(benchConfig(1), func(c *Ctx) {
+		mapReduce := func() {
+			if got := MapReduce(c, 0, n, 0, benchMapItem, benchSum); got != n*(n-1)/2 {
+				t.Errorf("MapReduce = %d, want %d", got, n*(n-1)/2)
+			}
+		}
+		forLoop := func() { For(c, 0, n, 1, benchForItem) }
+		for i := 0; i < 4; i++ {
+			mapReduce()
+			forLoop()
+		}
+		if raceDetectorEnabled {
+			return
+		}
+		if avg := testing.AllocsPerRun(50, mapReduce); avg > splits {
+			t.Errorf("MapReduce over %d elements allocates %.2f objects/call, want <= %d (one record per split)", n, avg, splits)
+		}
+		if avg := testing.AllocsPerRun(50, forLoop); avg > splits {
+			t.Errorf("For over %d elements, grain 1, allocates %.2f objects/call, want <= %d (one record per split)", n, avg, splits)
 		}
 	})
 	if err != nil {

@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// Microbenchmarks for the per-quantum hot path: spawn/await ladders, wide
-// fan-outs, resume storms through channels, and steal-heavy skew. Each
+// Microbenchmarks for the per-quantum hot path: spawn/await ladders (with
+// and without a result), MapReduce, wide fan-outs, resume storms through
+// channels, and steal-heavy skew. Each
 // benchmark runs its measured loop inside the root task of a single Run so
 // worker-pool setup is outside the timed region; ReportAllocs makes
 // allocs/op part of the regression record (see EXPERIMENTS.md "Runtime
@@ -50,6 +51,55 @@ func BenchmarkSpawnAwaitLadder(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					c.Spawn(benchLeaf).Await(c)
+				}
+				b.StopTimer()
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// BenchmarkSpawnValue is the ladder with a result: one rung is a
+// SpawnValue of a package-level function and its Await, joined inline.
+// The Value is the rung's one allocation.
+func BenchmarkSpawnValue(b *testing.B) {
+	for _, p := range []int{1, 4} {
+		b.Run(fmt.Sprintf("workers=%d", p), func(b *testing.B) {
+			b.ReportAllocs()
+			_, err := Run(benchConfig(p), func(c *Ctx) {
+				for i := 0; i < 64; i++ { // warm pools before measuring
+					SpawnValue(c, benchValueLeaf).Await(c)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					SpawnValue(c, benchValueLeaf).Await(c)
+				}
+				b.StopTimer()
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// BenchmarkMapReduce is the library's fork-join primitive: an op is one
+// MapReduce over 64 elements with a package-level mapper and reduce, so
+// 63 splits, each spawning one record.
+func BenchmarkMapReduce(b *testing.B) {
+	const n = 64
+	for _, p := range []int{1, 4} {
+		b.Run(fmt.Sprintf("workers=%d", p), func(b *testing.B) {
+			b.ReportAllocs()
+			_, err := Run(benchConfig(p), func(c *Ctx) {
+				for i := 0; i < 4; i++ { // warm pools before measuring
+					MapReduce(c, 0, n, 0, benchMapItem, benchSum)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					MapReduce(c, 0, n, 0, benchMapItem, benchSum)
 				}
 				b.StopTimer()
 			})

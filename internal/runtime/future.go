@@ -9,8 +9,9 @@ import (
 
 // Future is the completion handle of a spawned task.
 //
-// Futures returned by Spawn are heap-allocated once and never recycled —
-// the caller may hold them indefinitely.
+// Futures are heap-allocated once and never recycled — the caller may hold
+// them indefinitely. Spawn allocates its Future alone; SpawnValue, For and
+// MapReduce embed it in the child's spawn record.
 type Future struct {
 	mu sync.Mutex
 	// done is stored (under mu, after err) exactly once per life; a reader
@@ -222,16 +223,33 @@ func (c *Ctx) helpOne() bool {
 }
 
 // Value is a Future carrying a result of type T. Create with SpawnValue.
+//
+// A Value is the child's whole spawn record: it embeds the child's Future
+// and holds the function and, once the child returns, its result, so a
+// SpawnValue is one allocation. It contains a mutex and must not be copied;
+// hold the *Value.
 type Value[T any] struct {
-	fut *Future
+	fut Future
+	f   func(*Ctx) T // the child's body; nil once the child has begun
 	v   T
 }
 
+// run is the child's body. It drops f before calling it, so a Value held
+// after its Await keeps nothing f captured alive, panic or not. (Only a
+// TaskBody fault injected before run leaves f in place.)
+func (v *Value[T]) run(c *Ctx) {
+	f := v.f
+	v.f = nil
+	v.v = f(c)
+}
+
 // SpawnValue spawns f as a child task and returns a handle from which the
-// result can be awaited.
+// result can be awaited. The handle is the child's spawn record (see
+// Value): besides whatever f's closure costs, a steady-state SpawnValue
+// allocates only the Value.
 func SpawnValue[T any](c *Ctx, f func(*Ctx) T) *Value[T] {
-	v := &Value[T]{}
-	v.fut = c.Spawn(func(cc *Ctx) { v.v = f(cc) })
+	v := &Value[T]{f: f}
+	c.spawn(v, &v.fut)
 	return v
 }
 

@@ -5,6 +5,7 @@ import (
 	goruntime "runtime"
 	"testing"
 	"time"
+	"weak"
 )
 
 // waitGoroutines polls until the process goroutine count drops to at
@@ -122,4 +123,72 @@ func TestNoGoroutineLeakAfterStall(t *testing.T) {
 		}
 	}
 	waitGoroutines(t, base+3)
+}
+
+// retentionProbe returns a SpawnValue body whose closure captures a fresh
+// heap object, and a weak pointer to that object: once nothing keeps the
+// body alive, a GC clears the pointer. With panics set, the body panics
+// after touching the object.
+func retentionProbe(panics bool) (func(*Ctx) int, weak.Pointer[[64]byte]) {
+	p := new([64]byte)
+	p[0] = 1
+	return func(*Ctx) int {
+		if panics {
+			panic("probe")
+		}
+		return int(p[0])
+	}, weak.Make(p)
+}
+
+// TestValueDropsBodyAfterAwait holds a *Value past its Await and checks
+// that it no longer references its body, so the closure's captures die
+// with the task life even while the caller keeps the result handle — on
+// each way a child can end: on its own coroutine, joined inline, and
+// panicking.
+func TestValueDropsBodyAfterAwait(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		inline bool // await at once (the child is inlined) or after a suspension (it runs on its coroutine)
+		panics bool
+	}{
+		{"coroutine", false, false},
+		{"inline", true, false},
+		{"panic", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := Run(benchConfig(1), func(c *Ctx) {
+				f, captured := retentionProbe(tc.panics)
+				v := SpawnValue(c, f)
+				f = nil
+				if !tc.inline {
+					c.Latency(time.Millisecond) // the worker runs the child meanwhile
+				}
+				got, werr := v.AwaitErr(c)
+				switch {
+				case tc.panics && !errors.Is(werr, ErrTaskPanic):
+					t.Errorf("AwaitErr = %d, %v; want ErrTaskPanic", got, werr)
+				case !tc.panics && (werr != nil || got != 1):
+					t.Errorf("AwaitErr = %d, %v; want 1, nil", got, werr)
+				}
+				if v.f != nil {
+					t.Error("the Value still references its body after Await")
+				}
+				goruntime.GC()
+				if captured.Value() != nil {
+					t.Error("the body's captures are still reachable after Await")
+				}
+				goruntime.KeepAlive(v)
+			})
+			if tc.panics != errors.Is(err, ErrTaskPanic) {
+				t.Fatalf("Run: %v", err)
+			}
+			wantInline := int64(0)
+			if tc.inline {
+				wantInline = 1
+			}
+			if st.InlineJoins != wantInline {
+				t.Errorf("InlineJoins = %d, want %d", st.InlineJoins, wantInline)
+			}
+		})
+	}
 }

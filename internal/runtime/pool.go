@@ -75,12 +75,12 @@ type runtimePools struct {
 	batches sync.Pool // *pforBatch
 }
 
-// acquireTask returns a shell ready to run fn: from the worker-local free
+// acquireTask returns a shell ready to run r: from the worker-local free
 // list, the run's pool, or freshly allocated. Recycled shells keep their
 // resume channel, coroutine, and epoch. Owner-role access only.
 //
 //lhws:nonblocking
-func (w *worker) acquireTask(fn func(*Ctx)) *task {
+func (w *worker) acquireTask(r runner) *task {
 	var t *task
 	if n := len(w.taskCache); n > 0 {
 		t = w.taskCache[n-1]
@@ -91,7 +91,7 @@ func (w *worker) acquireTask(fn func(*Ctx)) *task {
 	} else {
 		t = newTask(w.rt, nil)
 	}
-	t.fn = fn
+	t.r = r
 	t.recycle = true
 	return t
 }
@@ -103,7 +103,7 @@ func (w *worker) acquireTask(fn func(*Ctx)) *task {
 //
 //lhws:nonblocking
 func (w *worker) releaseTask(t *task) {
-	t.fn = nil
+	t.r = nil
 	t.fut = nil
 	t.scope = nil
 	t.err = nil

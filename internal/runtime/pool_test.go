@@ -21,7 +21,7 @@ import (
 // must still succeed.
 func TestPooledShellStaleWakeupFailsClaim(t *testing.T) {
 	w := harnessWorkers(1)[0]
-	tk := w.acquireTask(func(*Ctx) {})
+	tk := w.acquireTask(funcRunner(func(*Ctx) {}))
 	tk.w = w
 	home := w.active
 
@@ -37,7 +37,7 @@ func TestPooledShellStaleWakeupFailsClaim(t *testing.T) {
 
 	// Recycle the shell and re-arm it, as Spawn would.
 	w.releaseTask(tk)
-	tk2 := w.acquireTask(func(*Ctx) {})
+	tk2 := w.acquireTask(funcRunner(func(*Ctx) {}))
 	if tk2 != tk {
 		t.Fatalf("free list returned a different shell (got %p, want %p)", tk2, tk)
 	}

@@ -202,7 +202,7 @@ func Run(cfg Config, root func(*Ctx)) (*Stats, error) {
 
 	// The root task is never recycled (recycle=false from newTask): Run
 	// reads rootTask.err after the pool drains.
-	rootTask := newTask(rt, root)
+	rootTask := newTask(rt, funcRunner(root))
 	rootTask.scope = rt.root
 	rt.liveTasks.Add(1)
 	rt.shards[0].tasksSpawned.Add(1)

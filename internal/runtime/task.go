@@ -38,7 +38,7 @@ const (
 // A life does not have to be switched into at all: a child that is
 // still fresh at the bottom of its awaiter's deque is run as a function
 // call on the awaiter's goroutine (Ctx.runInline), and its shell only
-// lends the call its fn, scope, future and Ctx storage.
+// lends the call its body, scope, future and Ctx storage.
 //
 // epoch is deliberately NOT reset between lives: the suspension-claim CAS
 // in waiter.wake relies on it increasing monotonically for the lifetime of
@@ -46,7 +46,7 @@ const (
 // suspension of the current one.
 type task struct {
 	rt *runtimeState
-	fn func(*Ctx)
+	r  runner // the life's body
 	// resume carries a Blocking-mode wake's hand-back (see waiter.wake):
 	// the task waits on it inside its coroutine while its worker stays
 	// switched in.
@@ -92,18 +92,30 @@ type task struct {
 	err error
 }
 
+// runner is a task life's body. Spawn's runner is the user's func itself
+// (funcRunner); SpawnValue, For and MapReduce spawn a record that holds
+// the child's Future, its arguments and its result, and whose run method
+// is the body — so each of those spawns is one allocation.
+type runner interface{ run(*Ctx) }
+
+// funcRunner is Spawn's runner. A func value is one pointer word, so
+// converting it to a runner allocates nothing.
+type funcRunner func(*Ctx)
+
+func (f funcRunner) run(c *Ctx) { f(c) }
+
 //lhws:nonblocking
-func newTask(rt *runtimeState, fn func(*Ctx)) *task {
+func newTask(rt *runtimeState, r runner) *task {
 	return &task{
 		rt:     rt,
-		fn:     fn,
+		r:      r,
 		resume: make(chan *worker, 1),
 	}
 }
 
 // main is the coroutine body: each iteration is one task life — run the
-// current user function, then yield done — after which the shell may be
-// re-armed with a new fn by Spawn and switched into again. After the
+// current body, then yield done — after which the shell may be re-armed
+// with a new runner by spawn and switched into again. After the
 // yield the coroutine must not touch any task field until it is resumed:
 // the worker may already be recycling the shell into a new life. It
 // returns when Run stops the coroutine.
@@ -130,17 +142,16 @@ func (t *task) switchIn() reportKind {
 	return r
 }
 
-// body calls the life's user function under c and settles the outcome. It
-// is the unwind boundary of a life whether the life runs on its own
-// coroutine (main) or as a function call inside its awaiter (runInline):
-// a panic raised in the user function stops here and becomes the returned
-// error.
+// body runs the life's runner under c and settles the outcome. It is the
+// unwind boundary of a life whether the life runs on its own coroutine
+// (main) or as a function call inside its awaiter (runInline): a panic
+// raised in the user function stops here and becomes the returned error.
 func (t *task) body(c *Ctx) (err error) {
 	defer func() { err = t.rt.settle(recover(), c.scope, t.fut) }()
 	if inj := t.rt.cfg.Faults; inj != nil {
 		inj.Inject(faultpoint.TaskBody)
 	}
-	t.fn(c)
+	t.r.run(c)
 	return nil
 }
 
@@ -230,17 +241,28 @@ func (c *Ctx) Worker() int { return c.t.w.id }
 // Future's Err records why. The child inherits c's cancellation scope.
 //
 // The child's shell comes from the worker's task free list, so a
-// steady-state spawn costs one Future allocation plus the closure.
+// steady-state spawn allocates the returned Future and nothing else; f
+// itself is whatever the caller built (nothing for a package-level
+// function, one closure for a literal that captures variables).
 //
 // The child runs on a coroutine, so it must not suspend or return while
 // it holds runtime.LockOSThread: Go aborts the process with a fatal error
 // when a coroutine switches with a thread lock it did not start with.
+func (c *Ctx) Spawn(f func(*Ctx)) *Future {
+	fut := &Future{}
+	c.spawn(funcRunner(f), fut)
+	return fut
+}
+
+// spawn is the one spawn path: it arms a shell with r as its body and fut
+// as its completion future, and pushes the shell onto the bottom of the
+// active deque. fut is often a field of r's own record (Value, forHalf,
+// mapHalf), which is what makes those spawns a single allocation.
 //
 //lhws:owner a running task holds its worker's owner role between switch-in and yield (see task)
-func (c *Ctx) Spawn(f func(*Ctx)) *Future {
+func (c *Ctx) spawn(r runner, fut *Future) {
 	c.checkpoint()
-	fut := &Future{}
-	child := c.t.w.acquireTask(f)
+	child := c.t.w.acquireTask(r)
 	child.scope = c.scope
 	child.fut = fut
 	child.fresh = true
@@ -255,7 +277,6 @@ func (c *Ctx) Spawn(f func(*Ctx)) *Future {
 	fut.nd = nd
 	c.t.w.active.q.PushBottom(nd)
 	c.t.rt.published()
-	return fut
 }
 
 // Latency models a latency-incurring operation (a remote call, a disk
