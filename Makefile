@@ -86,14 +86,15 @@ bench-goodput:
 bench-goodput-smoke:
 	$(GO) run ./cmd/lhws-bench -exp goodput -goodsmoke
 
-# bench-smoke is the CI form: every benchmark compiles and runs once, and
+# bench-smoke is the CI form: every benchmark in every package (the root
+# package's Figure-11 panels and theorem runs included) runs once, and
 # the TestAllocs gates assert the pooled hot paths stay allocation-free
 # at steady state (at P=1 under AllocsPerRun, at P=4 for the fan-out and
 # steal-skew shapes, and for the io data plane with 1 024 connections in
 # flight). No timing thresholds — CI boxes are too noisy for ns/op gates;
 # speed is judged by the repo benchmark.
 bench-smoke:
-	$(GO) test -run '^$$' -bench '.' -benchtime 1x ./internal/runtime/
+	$(GO) test -run '^$$' -bench '.' -benchtime 1x ./...
 	$(GO) test -run 'TestAllocs' -count=1 ./internal/runtime/ ./internal/io/
 
 # bench-repo-smoke runs the repo benchmark's own tests (benchmark/ is a

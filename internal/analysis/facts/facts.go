@@ -59,8 +59,6 @@ var maySuspendLeaves = map[string]string{
 	IOPath + "..Wrap":                    "suspends while registering the socket",
 	LhwsPath + "..For":                   "joins its iteration tasks",
 	LhwsPath + "..ParallelMapReduce":     "joins its iteration tasks",
-	LhwsPath + "..AwaitChan":             "suspends until the Go channel yields a value",
-	LhwsPath + "..AwaitExternal":         "suspends until the external completion fires",
 	LhwsPath + "..IODial":                "suspends until the connection is established",
 	LhwsPath + "..IOListen":              "suspends while binding the listener",
 	LhwsPath + "..IOWrap":                "suspends while registering the socket",
@@ -119,6 +117,7 @@ var BlockingCalls = map[string]string{
 	"(*lhws/internal/deque.Locked).PushBottom":    "mutex-backed deque; hot paths must use the lock-free ChaseLev",
 	"(*lhws/internal/deque.Locked).PopBottom":     "mutex-backed deque; hot paths must use the lock-free ChaseLev",
 	"(*lhws/internal/deque.Locked).PopTop":        "mutex-backed deque; hot paths must use the lock-free ChaseLev",
+	"(*lhws/internal/deque.Locked).PopTopBatch":   "mutex-backed deque; hot paths must use the lock-free ChaseLev",
 	"(*lhws/internal/deque.Locked).Len":           "mutex-backed deque; hot paths must use the lock-free ChaseLev",
 	"(*lhws/internal/deque.Locked).Empty":         "mutex-backed deque; hot paths must use the lock-free ChaseLev",
 	"(*lhws/internal/faultpoint.Injector).Inject": "sleeps or panics by design (chaos injection); worker hot paths must use Decide and act non-blockingly",

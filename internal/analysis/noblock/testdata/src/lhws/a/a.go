@@ -44,7 +44,8 @@ func crossPkg(ch chan int) {
 //
 //lhws:nonblocking
 func lockedDeque(d *deque.Locked) {
-	d.PushBottom(nil) // want `mutex-backed deque`
+	d.PushBottom(nil)     // want `mutex-backed deque`
+	d.PopTopBatch(nil, 0) // want `mutex-backed deque`
 }
 
 // chaosHot shows the fault injector's task-side hook is banned from hot

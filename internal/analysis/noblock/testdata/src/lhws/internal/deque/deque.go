@@ -28,3 +28,9 @@ func (d *Locked) PopBottom() (Item, bool) {
 	d.items = d.items[:len(d.items)-1]
 	return it, true
 }
+
+func (d *Locked) PopTopBatch(dst []Item, max int) int {
+	n := copy(dst[:max], d.items)
+	d.items = d.items[n:]
+	return n
+}

@@ -2,8 +2,14 @@ package lhws_test
 
 import (
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
+	"path/filepath"
+	"regexp"
 	goruntime "runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -137,54 +143,9 @@ func TestPublicChan(t *testing.T) {
 	}
 }
 
-func TestPublicFig11Driver(t *testing.T) {
-	cfg := lhws.Fig11Config{N: 32, FibWork: 4, DeltaMS: 500, Workers: []int{1, 4}, Seed: 1}
-	r, err := lhws.Fig11(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Points) != 2 {
-		t.Fatalf("points = %d", len(r.Points))
-	}
-	if r.Points[1].RoundsRatio <= 1 {
-		t.Errorf("LHWS not ahead at δ=500ms: ratio %.2f", r.Points[1].RoundsRatio)
-	}
-	scaled := lhws.ScaledFig11(50)
-	if scaled.N == 0 || scaled.DeltaMS != 50 {
-		t.Errorf("ScaledFig11 misconfigured: %+v", scaled)
-	}
-}
-
 func TestPublicVariantsExposed(t *testing.T) {
 	g := lhws.Server(lhws.ServerConfig{Requests: 5, Delta: 10, FibWork: 2}).G
 	if _, err := lhws.RunLHWS(g, lhws.SchedOptions{Workers: 2, Seed: 1, CheckInvariants: true}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPublicDAGCombinators(t *testing.T) {
-	b1 := lhws.NewDAGBuilder()
-	b1.Vertex("a")
-	g1 := b1.MustGraph()
-	b2 := lhws.NewDAGBuilder()
-	b2.Vertex("b")
-	g2 := b2.MustGraph()
-
-	seq := lhws.Sequence(g1, g2, 5)
-	if seq.Work() != 2 || seq.Span() != 6 || seq.SuspensionWidth() != 1 {
-		t.Fatalf("Sequence: W=%d S=%d U=%d", seq.Work(), seq.Span(), seq.SuspensionWidth())
-	}
-	par := lhws.ParallelDAGs(g1, g2, seq)
-	if err := par.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// The entry fetch completes before anything inside par can run, so its
-	// heavy edge never overlaps seq's: U stays 1.
-	fetch := lhws.WithEntryLatency(par, "get", 9)
-	if fetch.Label(fetch.Root()) != "get" || fetch.SuspensionWidth() != 1 {
-		t.Fatalf("WithEntryLatency: label=%q U=%d", fetch.Label(fetch.Root()), fetch.SuspensionWidth())
-	}
-	if _, err := lhws.RunLHWS(fetch, lhws.SchedOptions{Workers: 2, Seed: 1, CheckInvariants: true}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -226,26 +187,6 @@ func TestPublicResilience(t *testing.T) {
 		t.Fatalf("RunTasks: %v", err)
 	}
 
-	// Chaos: a dropped resume wakeup becomes a structured stall
-	// diagnostic instead of a hang.
-	inj := lhws.NewFaultInjector(42).Set(lhws.FaultResumeInject, lhws.FaultRule{
-		Action: lhws.FaultDrop, Rate: 1.0,
-	})
-	st, err := lhws.RunTasks(lhws.RuntimeConfig{
-		Workers:      2,
-		StallTimeout: 100 * time.Millisecond,
-		Faults:       inj,
-	}, func(c *lhws.Ctx) {
-		c.Latency(time.Millisecond)
-	})
-	var se *lhws.StallError
-	if !errors.As(err, &se) || !errors.Is(err, lhws.ErrStalled) {
-		t.Fatalf("RunTasks err = %v, want *lhws.StallError wrapping ErrStalled", err)
-	}
-	if !st.Stalled {
-		t.Errorf("Stats.Stalled = false, want true")
-	}
-
 	// Chan close flows through the facade aliases.
 	_, err = lhws.RunTasks(lhws.RuntimeConfig{Workers: 2}, func(c *lhws.Ctx) {
 		ch := lhws.NewChan[int](0)
@@ -260,5 +201,95 @@ func TestPublicResilience(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("RunTasks: %v", err)
+	}
+}
+
+// facade parses the package's non-test files and returns the names it
+// exports and the names its exported functions' signatures mention.
+func facade(t *testing.T) (exported, inSignatures map[string]bool) {
+	t.Helper()
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exported, inSignatures = map[string]bool{}, map[string]bool{}
+	add := func(id *ast.Ident) {
+		if id.IsExported() {
+			exported[id.Name] = true
+		}
+	}
+	for _, f := range pkgs["lhws"].Files {
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				add(d.Name)
+				ast.Inspect(d.Type, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						inSignatures[id.Name] = true
+					}
+					return true
+				})
+			case *ast.GenDecl:
+				for _, sp := range d.Specs {
+					switch sp := sp.(type) {
+					case *ast.TypeSpec:
+						add(sp.Name)
+					case *ast.ValueSpec:
+						for _, id := range sp.Names {
+							add(id)
+						}
+					}
+				}
+			}
+		}
+	}
+	return exported, inSignatures
+}
+
+var qualified = regexp.MustCompile(`\blhws\.([A-Z][A-Za-z0-9_]*)`)
+
+// namesIn returns every lhws.Name that the files mention.
+func namesIn(t *testing.T, files ...string) map[string]bool {
+	t.Helper()
+	names := map[string]bool{}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range qualified.FindAllSubmatch(b, -1) {
+			names[string(m[1])] = true
+		}
+	}
+	return names
+}
+
+// TestREADMENamesExported keeps README.md compiled in spirit: every
+// lhws.Name in its code blocks and prose is exported by the package.
+func TestREADMENamesExported(t *testing.T) {
+	exported, _ := facade(t)
+	for name := range namesIn(t, "README.md") {
+		if !exported[name] {
+			t.Errorf("README.md names lhws.%s, which the package does not export", name)
+		}
+	}
+}
+
+// TestFacadeNamesUsed is the facade's rule: an exported name stays only
+// if README.md or a root test or example names it, or a kept function's
+// signature needs it.
+func TestFacadeNamesUsed(t *testing.T) {
+	exported, inSignatures := facade(t)
+	tests, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := namesIn(t, append(tests, "README.md")...)
+	for name := range exported {
+		if !used[name] && !inSignatures[name] {
+			t.Errorf("lhws.%s is named by no example, test or README line, nor by a kept signature", name)
+		}
 	}
 }
