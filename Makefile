@@ -3,7 +3,7 @@ GO ?= go
 # Core packages whose hot paths the race/vet gates guard.
 CORE := ./internal/deque/... ./internal/runtime/... ./internal/sched/...
 
-.PHONY: all build cross-build test race race-core vet lhws-vet lint chaos fuzz-sim bench-runtime bench-goodput bench-goodput-smoke bench-smoke bench-repo-smoke ci figures clean
+.PHONY: all build cross-build test race race-core vet lhws-vet lint chaos fuzz-sim bench-runtime bench-goodput bench-goodput-smoke bench-smoke bench-repo-smoke mutants-check ci figures clean
 
 all: build
 
@@ -41,8 +41,9 @@ race-core:
 vet: lhws-vet
 	$(GO) vet ./...
 
-# lhws-vet runs the seven scheduler-aware analyzers (dequeowner, noblock,
-# suspendcolor, lockheld, ctxleak, atomicpair, rngplumb).
+# lhws-vet runs the three scheduler-aware analyzers (noblock, suspendcolor,
+# ctxleak): the ones that kill a mutant no other gate kills (EXPERIMENTS.md
+# "Which gate catches what").
 lhws-vet:
 	$(GO) run ./cmd/lhws-vet ./...
 
@@ -104,8 +105,15 @@ bench-smoke:
 bench-repo-smoke:
 	cd benchmark && $(GO) test ./...
 
+# mutants-check fails if a mutant of the gate audit (scripts/mutants,
+# EXPERIMENTS.md "Which gate catches what") no longer applies to the
+# tree, so a refactor cannot silently shrink the audit. The audit itself
+# (scripts/mutate.sh with no flag) takes about 2 min per mutant.
+mutants-check:
+	bash scripts/mutate.sh -check
+
 # ci mirrors .github/workflows/ci.yml.
-ci: build cross-build lint vet test race chaos fuzz-sim bench-smoke bench-goodput-smoke bench-repo-smoke
+ci: build cross-build lint mutants-check vet test race chaos fuzz-sim bench-smoke bench-goodput-smoke bench-repo-smoke
 
 figures:
 	$(GO) run ./cmd/lhws-bench -exp fig11 -svg figures

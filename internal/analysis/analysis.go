@@ -13,21 +13,18 @@
 // # Directives
 //
 // The analyzers in this tree enforce concurrency invariants the type
-// system cannot see (deque ownership, non-blocking scheduling loops).
-// Some call sites satisfy an invariant for reasons that are only
-// visible dynamically — e.g. a task holds its worker's owner role
-// between a resume and a report. Such sites declare the reason with a
+// system cannot see (non-blocking scheduling loops, suspension only in
+// task context). Some code declares the role it plays, or the reason an
+// invariant holds where the analyzer cannot see it, with a
 // machine-readable directive comment:
 //
-//	//lhws:owner <justification>        assert the deque owner role
+//	//lhws:owner <justification>        mark a deque-owner region, which must not suspend
 //	//lhws:nonblocking                  mark a function as a checked hot path
 //	//lhws:nosuspend                    mark a function as a checked no-suspend region
 //	//lhws:allowblock <justification>   permit one blocking operation
+//	//lhws:parks <condition>            declare the worker's one sanctioned park
 //	//lhws:allowsuspend <justification> permit one may-suspend call in a no-suspend region
-//	//lhws:locksafe <justification>     permit one may-suspend call under a held lock
 //	//lhws:ctxok <justification>        permit one Ctx escape from its task
-//	//lhws:nonatomic <justification>    permit one mixed atomic/plain access
-//	//lhws:rand-ok <justification>      permit one math/rand global use
 //
 // Function-level directives live in the function's doc comment;
 // statement-level directives go on the flagged line or the line
@@ -54,6 +51,11 @@ type Analyzer struct {
 	Name string
 	// Doc is the analyzer's documentation, shown by the driver's help.
 	Doc string
+	// Directives are the //lhws: directive names the analyzer reads. A
+	// directive no registered analyzer reads is an error in the tree (see
+	// cmd/lhws-vet's TestDirectivesKnown): matching is exact, so a
+	// misspelled one would silently switch its check off.
+	Directives []string
 	// Run applies the analyzer to one package.
 	Run func(*Pass) error
 }

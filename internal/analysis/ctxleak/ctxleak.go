@@ -38,10 +38,14 @@ import (
 	"lhws/internal/analysis/facts"
 )
 
+// ctxok permits one Ctx escape from its task.
+const ctxok = "ctxok"
+
 var Analyzer = &analysis.Analyzer{
-	Name: "ctxleak",
-	Doc:  "check that no *runtime.Ctx escapes its task (pooled shells make that a use-after-recycle)",
-	Run:  run,
+	Name:       "ctxleak",
+	Doc:        "check that no *runtime.Ctx escapes its task (pooled shells make that a use-after-recycle)",
+	Run:        run,
+	Directives: []string{ctxok},
 }
 
 func run(pass *analysis.Pass) error {
@@ -187,7 +191,7 @@ func sinkLHS(pass *analysis.Pass, lhs ast.Expr) (string, bool) {
 }
 
 func report(pass *analysis.Pass, pos token.Pos, kind string) {
-	if pass.Suppressed(pos, "ctxok") {
+	if pass.Suppressed(pos, ctxok) {
 		return
 	}
 	pass.Reportf(pos, "task context escapes its task (%s); a Ctx points into a pooled task shell that is recycled when the task completes, so any later use is a use-after-recycle — pass results out instead, or justify with //lhws:ctxok", kind)

@@ -1,10 +1,10 @@
 // Package facts holds the shared interprocedural fact definitions the
 // scheduler-aware analyzers compose on: the transitive may-suspend
-// coloring (suspendcolor, lockheld), the may-block summary (noblock's
+// coloring (suspendcolor), the may-block summary (noblock's
 // //lhws:nonblocking regions), and the net-block summary (noblock's
 // task-code check). Each is an analysis.FactDef propagated over the
 // driver's whole-program call graph; analyzers retrieve the memoized
-// FactSet with the accessors here, so the coloring is computed once per
+// FactSet with the accessors here, so each summary is computed once per
 // driver run no matter how many analyzers consult it.
 package facts
 
@@ -24,6 +24,13 @@ const (
 	RuntimePath = "lhws/internal/runtime"
 	IOPath      = "lhws/internal/io"
 	LhwsPath    = "lhws"
+)
+
+// The directives the may-block summary reads; noblock lists them as its
+// own, since it is the analyzer that reports through the summary.
+const (
+	AllowBlock = "allowblock" // permits one blocking operation or call
+	ParksDir   = "parks"      // declares the worker's one sanctioned park
 )
 
 // maySuspendLeaves maps (package, receiver, function) keys — see
@@ -153,14 +160,14 @@ func skipAllowblock(p *analysis.Program, n *analysis.FuncNode, cs *analysis.Call
 	if Parks(p, cs.Callee) {
 		return true
 	}
-	d, ok := p.DirectiveAt(cs.Pos, "allowblock")
+	d, ok := p.DirectiveAt(cs.Pos, AllowBlock)
 	return ok && d.Args != ""
 }
 
 // Parks reports whether fn is declared the scheduler's sanctioned park: a
 // function-level //lhws:parks directive that states its condition.
 func Parks(p *analysis.Program, fn *types.Func) bool {
-	d, ok := p.FuncDirective(fn, "parks")
+	d, ok := p.FuncDirective(fn, ParksDir)
 	return ok && d.Args != ""
 }
 
@@ -214,7 +221,7 @@ func scanBlockingSyntax(p *analysis.Program, n *analysis.FuncNode) (token.Pos, s
 }
 
 func escapedBlock(p *analysis.Program, pos token.Pos) bool {
-	d, ok := p.DirectiveAt(pos, "allowblock")
+	d, ok := p.DirectiveAt(pos, AllowBlock)
 	return ok && d.Args != ""
 }
 

@@ -75,10 +75,14 @@ import (
 	"lhws/internal/analysis/facts"
 )
 
+// nonblocking marks a function as a checked hot path.
+const nonblocking = "nonblocking"
+
 var Analyzer = &analysis.Analyzer{
-	Name: "noblock",
-	Doc:  "check that //lhws:nonblocking scheduler hot paths contain no blocking operations",
-	Run:  run,
+	Name:       "noblock",
+	Doc:        "check that //lhws:nonblocking scheduler hot paths contain no blocking operations",
+	Run:        run,
+	Directives: []string{nonblocking, facts.AllowBlock, facts.ParksDir},
 }
 
 func run(pass *analysis.Pass) error {
@@ -99,13 +103,13 @@ func run(pass *analysis.Pass) error {
 			if obj == nil {
 				continue
 			}
-			if _, ok := analysis.FuncDirective(fd, "nonblocking"); ok {
+			if _, ok := analysis.FuncDirective(fd, nonblocking); ok {
 				vouched[obj] = true
 				if fd.Body != nil {
 					hot = append(hot, fd)
 				}
 			}
-			if d, ok := analysis.FuncDirective(fd, "parks"); ok {
+			if d, ok := analysis.FuncDirective(fd, facts.ParksDir); ok {
 				if d.Args == "" {
 					pass.Reportf(d.Pos, "%sparks directive needs the condition under which the function parks", analysis.DirectivePrefix)
 				} else {
@@ -276,7 +280,7 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr, vouched map[types.Object
 	if vouched[fn.Origin()] {
 		return
 	}
-	if pass.Prog != nil && (pass.Prog.FuncMarked(fn, "nonblocking") || facts.Parks(pass.Prog, fn)) {
+	if pass.Prog != nil && (pass.Prog.FuncMarked(fn, nonblocking) || facts.Parks(pass.Prog, fn)) {
 		return
 	}
 	if desc, ok := mayBlock(fn); ok {
@@ -299,7 +303,7 @@ func isOpaqueCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 }
 
 func report(pass *analysis.Pass, pos token.Pos, format string, args ...any) {
-	if pass.Suppressed(pos, "allowblock") {
+	if pass.Suppressed(pos, facts.AllowBlock) {
 		return
 	}
 	pass.Reportf(pos, format, args...)

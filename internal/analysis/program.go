@@ -18,7 +18,7 @@
 // to caller, which keeps propagation a linear-time worklist pass and
 // the results easy to export (see FactRecords). Analyzers compose by
 // sharing fact definitions: Program.Facts memoizes per definition name,
-// so suspendcolor and lockheld compute the may-suspend coloring once.
+// so a summary several analyzers consult is computed once.
 package analysis
 
 import (
@@ -337,9 +337,6 @@ func (fs *FactSet) Call(fn *types.Func) (string, bool) {
 	}
 	return fs.trace(n), true
 }
-
-// NodeHas reports whether the node's own body has the fact.
-func (fs *FactSet) NodeHas(n *FuncNode) bool { return n != nil && fs.marks[n] != nil }
 
 // trace renders the witness chain from n to the fact's leaf.
 func (fs *FactSet) trace(n *FuncNode) string {

@@ -36,10 +36,18 @@ import (
 	"lhws/internal/analysis/facts"
 )
 
+// The directives suspendcolor reads.
+const (
+	nosuspend    = "nosuspend"    // marks a checked no-suspend region
+	owner        = "owner"        // marks a deque-owner region, which must not suspend
+	allowsuspend = "allowsuspend" // permits one may-suspend call in such a region
+)
+
 var Analyzer = &analysis.Analyzer{
-	Name: "suspendcolor",
-	Doc:  "check that no-suspend regions (//lhws:nosuspend, //lhws:owner, scheduler callbacks) cannot reach a task suspension",
-	Run:  run,
+	Name:       "suspendcolor",
+	Doc:        "check that no-suspend regions (//lhws:nosuspend, //lhws:owner, scheduler callbacks) cannot reach a task suspension",
+	Run:        run,
+	Directives: []string{nosuspend, owner, allowsuspend},
 }
 
 // region is one function whose body must not reach a suspension.
@@ -76,10 +84,10 @@ func run(pass *analysis.Pass) error {
 	}
 
 	for _, fd := range decls {
-		if _, ok := analysis.FuncDirective(fd, "nosuspend"); ok {
+		if _, ok := analysis.FuncDirective(fd, nosuspend); ok {
 			add(fd, "a //lhws:nosuspend region")
 		}
-		if _, ok := analysis.FuncDirective(fd, "owner"); ok {
+		if _, ok := analysis.FuncDirective(fd, owner); ok {
 			add(fd, "an //lhws:owner region (a suspension releases the owner role and may resume on a different worker)")
 		}
 	}
@@ -192,7 +200,7 @@ func checkRegion(pass *analysis.Pass, r region, maySuspend func(*types.Func) (st
 				return true
 			}
 			if desc, ok := maySuspend(fn); ok {
-				if !pass.Suppressed(x.Pos(), "allowsuspend") {
+				if !pass.Suppressed(x.Pos(), allowsuspend) {
 					pass.Reportf(x.Pos(), "call may suspend the task inside %s: %s", r.what, desc)
 				}
 			}

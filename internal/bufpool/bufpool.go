@@ -20,9 +20,7 @@
 // refcount per buffer), so pool calls are safe from scheduler hot paths
 // and backend goroutines alike — the noblock analyzer's may-block
 // summary sees straight through them. The refcount word itself is
-// protocol state: only Retain/Release may touch it (the dequeowner
-// analyzer enforces this, the same way it guards the deque's ordering
-// fields).
+// protocol state: only Get, Retain and Release touch it.
 package bufpool
 
 import (

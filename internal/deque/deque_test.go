@@ -1,9 +1,11 @@
 package deque
 
 import (
+	goruntime "runtime"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // implementations returns fresh instances of every Deque implementation for
@@ -259,6 +261,53 @@ func TestPopTopBatchDifferential(t *testing.T) {
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPopBottomWaitsOutBatchClaim replays, step by step, an owner pop
+// that lands inside a batch thief's claimed range: the owner must wait
+// for the claim to clear and then decide against the top the commit left
+// behind. An owner that read top before the claim word would keep the
+// pre-commit top and take an item the thief has already committed.
+func TestPopBottomWaitsOutBatchClaim(t *testing.T) {
+	d := NewChaseLev()
+	for i := 0; i < 4; i++ {
+		d.PushBottom(i)
+	}
+	// A batch thief has claimed and copied [0,2) but not yet committed.
+	d.claim.Store(0<<claimShift | 2)
+	for want := 3; want >= 2; want-- {
+		if it, ok := d.PopBottom(); !ok || it != want {
+			t.Fatalf("pop outside the claim = %v, %v; want %d", it, ok, want)
+		}
+	}
+	type pop struct {
+		it Item
+		ok bool
+	}
+	res := make(chan pop, 1)
+	go func() {
+		it, ok := d.PopBottom()
+		res <- pop{it, ok}
+	}()
+	for d.bottom.Load() != 1 {
+		goruntime.Gosched()
+	}
+	time.Sleep(10 * time.Millisecond) // the owner is spinning on the claim
+	select {
+	case p := <-res:
+		t.Fatalf("pop inside a live claim returned %v, %v before the claim cleared", p.it, p.ok)
+	default:
+	}
+	if !d.top.CompareAndSwap(0, 2) {
+		t.Fatal("thief commit failed")
+	}
+	d.claim.Store(0)
+	if p := <-res; p.ok {
+		t.Fatalf("owner popped item %v, which the thief committed", p.it)
+	}
+	if n := d.Len(); n != 0 {
+		t.Fatalf("Len = %d after the thief took the rest, want 0", n)
 	}
 }
 

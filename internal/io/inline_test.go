@@ -240,7 +240,7 @@ func TestInlineWriteCanceledHandle(t *testing.T) {
 			// either: whatever arrives at the peer came from the task.
 			cn.wrTurn.Lock()
 			defer cn.wrTurn.Unlock()
-			cn.Write(cc, []byte("never")) //lhws:locksafe test-only: the lock keeps the aborted op's waiter off the socket; the await unwinds at once
+			cn.Write(cc, []byte("never"))
 			t.Error("Write through a canceled handle returned")
 		})
 		if werr := fut.AwaitErr(c); !errors.Is(werr, runtime.ErrCanceled) {

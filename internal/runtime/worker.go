@@ -243,8 +243,9 @@ func (w *worker) retireActive() {
 // a latency target (WithTarget/WithDeadline), the earliest-target deque
 // wins — EDF among the worker's own deques — so a request that can still
 // meet its target is not starved behind later-arriving target-free work.
-// With no targets in play the scan finds nothing and selection stays
-// LIFO, preserving the locality the paper's §6 policy relies on.
+// With no target anywhere in the run (rt.activeTargets, as in trySteal)
+// the scan is skipped and selection stays LIFO, preserving the locality
+// the paper's §6 policy relies on.
 //
 //lhws:nonblocking
 func (w *worker) trySwitch() bool {
@@ -255,10 +256,12 @@ func (w *worker) trySwitch() bool {
 		return false
 	}
 	pick := n - 1
-	best := int64(0)
-	for i := n - 1; i >= 0; i-- {
-		if tgt := w.ready[i].targetNs.Load(); tgt != 0 && (best == 0 || tgt < best) {
-			best, pick = tgt, i
+	if w.rt.activeTargets.Load() > 0 {
+		best := int64(0)
+		for i := n - 1; i >= 0; i-- {
+			if tgt := w.ready[i].targetNs.Load(); tgt != 0 && (best == 0 || tgt < best) {
+				best, pick = tgt, i
+			}
 		}
 	}
 	d := w.ready[pick]
