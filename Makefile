@@ -3,7 +3,7 @@ GO ?= go
 # Core packages whose hot paths the race/vet gates guard.
 CORE := ./internal/deque/... ./internal/runtime/... ./internal/sched/...
 
-.PHONY: all build cross-build test race race-core vet lhws-vet lint chaos fuzz-sim bench-runtime bench-goodput bench-goodput-smoke bench-smoke bench-repo-smoke mutants-check ci figures clean
+.PHONY: all build cross-build test race race-core vet lint chaos fuzz-sim bench-runtime bench-goodput bench-goodput-smoke bench-smoke bench-repo-smoke mutants-check ci figures clean
 
 all: build
 
@@ -36,16 +36,8 @@ race-core:
 	$(GO) test -race -count=1 $(CORE)
 	$(GO) test -race -count=5 -run 'Pool|Recycled|TestAllocs|Cancel|Watchdog|Blocking|Coroutine' ./internal/runtime/
 
-# vet runs go vet plus the scheduler-aware analyzers in cmd/lhws-vet
-# (see DESIGN.md §6 and §10).
-vet: lhws-vet
+vet:
 	$(GO) vet ./...
-
-# lhws-vet runs the three scheduler-aware analyzers (noblock, suspendcolor,
-# ctxleak): the ones that kill a mutant no other gate kills (EXPERIMENTS.md
-# "Which gate catches what").
-lhws-vet:
-	$(GO) run ./cmd/lhws-vet ./...
 
 # lint is the formatting gate: fails if any file needs gofmt.
 lint:

@@ -17,10 +17,9 @@
 // window.
 //
 // Everything here is lock-free (per-class sync.Pool plus one atomic
-// refcount per buffer), so pool calls are safe from scheduler hot paths
-// and backend goroutines alike — the noblock analyzer's may-block
-// summary sees straight through them. The refcount word itself is
-// protocol state: only Get, Retain and Release touch it.
+// refcount per buffer), so pool calls never block and are safe from
+// scheduler hot paths and backend goroutines alike. The refcount word
+// itself is protocol state: only Get, Retain and Release touch it.
 package bufpool
 
 import (
@@ -87,8 +86,6 @@ func classFor(n int) int {
 // Get runs on worker hot paths and waiter goroutines alike, so it must
 // stay non-parking: atomics, sync.Pool fast paths, and at worst an
 // allocation.
-//
-//lhws:nonblocking
 func Get(n int) *Buf {
 	stats.gets.Add(1)
 	ci := classFor(n)
@@ -131,8 +128,6 @@ func (pb *Buf) SetLen(n int) {
 
 // Retain adds a reference for a new holder. Calling it on a released
 // buffer is a use-after-free and panics.
-//
-//lhws:nonblocking
 func (pb *Buf) Retain() {
 	if pb.refs.Add(1) <= 1 {
 		panic("bufpool: Retain of a released buffer")
@@ -144,8 +139,6 @@ func (pb *Buf) Retain() {
 // reports whether this call was the final one. Releasing below zero —
 // a double free — panics rather than corrupting a recycled buffer's
 // next life.
-//
-//lhws:nonblocking
 func (pb *Buf) Release() bool {
 	refs := pb.refs.Add(-1)
 	if refs > 0 {

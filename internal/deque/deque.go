@@ -15,9 +15,10 @@
 //
 //   - Locked: a mutex-protected slice-backed deque, the obviously correct
 //     reference implementation that the conformance and differential tests
-//     check ChaseLev against. No scheduler uses it (the round-based
-//     simulator in internal/sched keeps its own deque), and the noblock
-//     analyzer bans it from the runtime's hot paths.
+//     check ChaseLev against. No scheduler uses it: the round-based
+//     simulator in internal/sched keeps its own deque, and on the
+//     runtime's hot paths its mutex would make every worker contend with
+//     every thief.
 //
 // Both satisfy the Deque interface, and both are exercised by the same
 // conformance and property-based test suites.

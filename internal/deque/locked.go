@@ -5,7 +5,8 @@ import "sync"
 // Locked is a mutex-protected slice-backed deque. It trades throughput for
 // obviousness: it is the reference implementation the conformance and
 // differential tests check ChaseLev against. Every operation takes a
-// mutex, so the noblock analyzer bans it from the runtime's hot paths.
+// mutex, so the runtime never uses it: a worker would contend with every
+// thief on each push and pop.
 type Locked struct {
 	mu    sync.Mutex
 	items []Item

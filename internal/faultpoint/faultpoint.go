@@ -144,7 +144,7 @@ type Injector struct {
 	// It is atomic so Decide's disarmed fast path — the steady state on
 	// worker hot paths like the steal loop — never touches mu: a plain
 	// field here would serialize every worker through one global mutex
-	// per steal attempt (found by the noblock may-block summary).
+	// per steal attempt (TestDecideDisarmedIsLockFree).
 	thresh [numPoints]atomic.Uint64
 	evals  [numPoints]atomic.Int64
 	fires  [numPoints]atomic.Int64
@@ -186,7 +186,7 @@ func (in *Injector) Decide(p Point) (Action, time.Duration) {
 	if in.thresh[p].Load() == 0 {
 		return None, 0
 	}
-	in.mu.Lock() //lhws:allowblock bounded leaf critical section around the RNG draw on armed (chaos-run) points only; no suspension or I/O inside
+	in.mu.Lock()
 	th := in.thresh[p].Load()
 	if th == 0 {
 		in.mu.Unlock()

@@ -112,11 +112,11 @@ func TestSummaryAndStrings(t *testing.T) {
 	}
 }
 
-// TestDecideDisarmedIsLockFree is the regression test for the steal-path
-// serialization the noblock may-block summary flagged: Decide on a
-// disarmed point must be a pure atomic read, never touching in.mu. With
-// the mutex deliberately held, a lock-taking fast path would deadlock
-// here instead of returning.
+// TestDecideDisarmedIsLockFree is the regression test for a steal-path
+// serialization through one global mutex: Decide on a disarmed point
+// must be a pure atomic read, never touching in.mu. With the mutex
+// deliberately held, a lock-taking fast path would deadlock here instead
+// of returning.
 func TestDecideDisarmedIsLockFree(t *testing.T) {
 	in := New(7).Set(Suspend, Rule{Action: Fail, Rate: 1}) // arm a *different* point
 	in.mu.Lock()

@@ -10,6 +10,7 @@ import (
 
 	"lhws/internal/bufpool"
 	"lhws/internal/runtime"
+	"lhws/internal/timerwheel"
 )
 
 // TestReadBufEcho: the pooled read path end to end — ReadBuf returns
@@ -317,6 +318,85 @@ func TestReadBufCancelStream(t *testing.T) {
 	for i := uint32(0); i < frames; i++ {
 		if v := binary.BigEndian.Uint32(got[4*i:]); v != i {
 			t.Fatalf("stream broken at frame %d: got %d (lost or duplicated cancel-window bytes)", i, v)
+		}
+	}
+}
+
+// TestDispatcherOutlivesCreator: the run's dispatcher is created by the
+// first I/O call, here a child's Dial, and must not keep anything of the
+// creating task. At P = 1 the child's shell is recycled (its Ctx zeroed)
+// when it returns, and the parent then arms a per-op deadline with no
+// spawn in between to reuse the shell.
+func TestDispatcherOutlivesCreator(t *testing.T) {
+	nl, lerr := net.Listen("tcp", "127.0.0.1:0")
+	if lerr != nil {
+		t.Fatalf("listen: %v", lerr)
+	}
+	defer nl.Close()
+	go func() {
+		pc, aerr := nl.Accept()
+		if aerr != nil {
+			return
+		}
+		defer pc.Close()
+		pc.Read(make([]byte, 1)) // silent until the client closes
+	}()
+	_, err := runtime.Run(runtime.Config{Workers: 1, Deadline: 30 * time.Second}, func(c *runtime.Ctx) {
+		dial := runtime.SpawnValue(c, func(cc *runtime.Ctx) *Conn {
+			cn, derr := Dial(cc, "tcp", nl.Addr().String())
+			if derr != nil {
+				t.Errorf("dial: %v", derr)
+			}
+			return cn
+		})
+		cn := dial.Await(c)
+		if cn == nil {
+			return
+		}
+		defer cn.Close()
+		cn.SetOpTimeout(20 * time.Millisecond)
+		if n, rerr := cn.Read(c, make([]byte, 4)); !errors.Is(rerr, ErrOpTimeout) || n != 0 {
+			t.Errorf("Read = %d, %v; want 0, ErrOpTimeout", n, rerr)
+		}
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
+// TestOpDeadlineArmedUnderLock: armOpDeadline arms the per-op deadline
+// and stores it under op.mu, which the fire callback takes first. With
+// op.mu held elsewhere for longer than the deadline, the deadline must
+// neither fire early (counted from before it was stored) nor be lost (a
+// fire that beats the store fails the callback's identity check).
+func TestOpDeadlineArmedUnderLock(t *testing.T) {
+	const d = 50 * time.Millisecond
+	w := timerwheel.New(0)
+	defer w.Shutdown()
+	cn := &Conn{d: &dispatcher{wheel: w}}
+	cn.SetOpTimeout(d)
+	op := &ioOp{kind: opDial}
+	timedOut := func() bool {
+		op.mu.Lock()
+		defer op.mu.Unlock()
+		return op.timedOut
+	}
+	op.mu.Lock()
+	armed := make(chan struct{})
+	go func() {
+		cn.armOpDeadline(op)
+		close(armed)
+	}()
+	time.Sleep(2 * d)
+	op.mu.Unlock()
+	<-armed
+	time.Sleep(d / 5)
+	if timedOut() {
+		t.Fatal("per-op deadline fired before it was stored")
+	}
+	for end := time.Now().Add(2 * time.Second); !timedOut(); time.Sleep(time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatal("per-op deadline lost: it fired before it was stored")
 		}
 	}
 }

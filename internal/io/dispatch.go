@@ -216,8 +216,6 @@ func (op *ioOp) kickRead(cn *Conn) {
 // fire — the timer lost its Stop race and the op has completed, possibly
 // recycled and re-armed with a fresh timer — a no-op: a fired timer that
 // is not the op's current one belongs to a finished life.
-//
-//lhws:nosuspend
 func opDeadlineFired(t *timerwheel.Timer, arg any) {
 	op := arg.(*ioOp)
 	op.mu.Lock()
@@ -370,8 +368,6 @@ func (op *ioOp) wait() {
 // recycled), stops any armed per-op deadline (a fire losing the race is
 // ignored by the op.dl identity check), and zeroes the handle, ending
 // the cancel-visibility window.
-//
-//lhws:nosuspend
 func (op *ioOp) takeHandle() runtime.ExternalHandle {
 	if op.kind == opRead {
 		op.cn.clearRead(op)
@@ -394,8 +390,6 @@ func (op *ioOp) takeHandle() runtime.ExternalHandle {
 // task's wake, and a normal Complete would race that wake — a race the
 // attempt could win, surfacing a kicked attempt's payload to the task as
 // a successful return (see ExternalHandle.Discard).
-//
-//lhws:nosuspend
 func (op *ioOp) finish(n int, err error, canceled bool) bool {
 	h := op.takeHandle()
 	if canceled {
@@ -417,8 +411,6 @@ func (op *ioOp) finish(n int, err error, canceled bool) bool {
 //     buffer MOVES into the stash (the zero-copy half of the cancel
 //     window; the unpooled path has to copy here);
 //   - claim lost without progress: nobody — back to the pool.
-//
-//lhws:nosuspend
 func (op *ioOp) settleBuf(won bool, n int) {
 	pb := op.pb
 	if pb == nil {
@@ -605,8 +597,6 @@ func (op *ioOp) runDial() {
 // deliverResult hands an accepted/dialed connection toward the awaiting
 // task, or closes it if a cancellation abandoned the op first — exactly
 // one side observes every connection, so none leaks.
-//
-//lhws:nosuspend
 func (op *ioOp) deliverResult(nc net.Conn) {
 	op.resMu.Lock()
 	if op.abandoned {

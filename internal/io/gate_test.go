@@ -119,3 +119,64 @@ func TestGateBackpressure(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 }
+
+// slowGate holds its first caller for d, as a saturated gate holds an
+// acceptor until credit frees up, and passes every later one at once.
+type slowGate struct {
+	d     time.Duration
+	calls atomic.Int32
+}
+
+func (g *slowGate) AcquireAccept(c *runtime.Ctx) error {
+	if g.calls.Add(1) == 1 {
+		c.Latency(g.d)
+	}
+	return nil
+}
+
+// TestGateWaitHoldsNoLock: an Accept suspended in its gate must hold
+// nothing another acceptor on the listener needs. At P = 1 a second
+// Accept that blocked on such a lock would block the only worker, and
+// the first acceptor could never resume to release it.
+func TestGateWaitHoldsNoLock(t *testing.T) {
+	done := make(chan error, 1)
+	go func() {
+		_, err := runtime.Run(runtime.Config{Workers: 1}, func(c *runtime.Ctx) {
+			l, err := Listen(c, "tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Errorf("Listen: %v", err)
+				return
+			}
+			defer l.Close()
+			l.SetGate(&slowGate{d: 50 * time.Millisecond})
+			accept := func(c *runtime.Ctx) {
+				conn, err := l.Accept(c)
+				if err != nil {
+					t.Errorf("Accept: %v", err)
+					return
+				}
+				conn.Close()
+			}
+			first := c.Spawn(accept)
+			c.Latency(10 * time.Millisecond) // first now waits in the gate
+			for i := 0; i < 2; i++ {
+				go func() {
+					if nc, err := net.Dial("tcp", l.Addr().String()); err == nil {
+						nc.Close()
+					}
+				}()
+			}
+			accept(c)
+			first.Await(c)
+		})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("two acceptors deadlocked: an Accept waiting in its gate holds a lock the other needs")
+	}
+}

@@ -424,8 +424,11 @@ func (cn *Conn) tryWritev(c *runtime.Ctx, bufs net.Buffers) (int, net.Buffers) {
 		return 0, bufs
 	}
 	cn.tryVec, cn.tryN = bufs, 0
-	// The error is dropped on purpose: a failed attempt wrote nothing.
-	_ = cn.rc.Write(cn.tryFn) //lhws:allowblock cannot park: tryWriteFD returns true unconditionally, so RawWrite never reaches waitWrite, and the fd write lock is free because wrTurn is held
+	// The error is dropped on purpose: a failed attempt wrote nothing. The
+	// call cannot park: tryWriteFD returns true unconditionally, so
+	// RawWrite never reaches waitWrite, and the fd write lock is free
+	// because wrTurn is held.
+	_ = cn.rc.Write(cn.tryFn)
 	n := cn.tryN
 	cn.tryVec = nil
 	cn.wrTurn.Unlock()
@@ -487,8 +490,8 @@ func (cn *Conn) Flush(c *runtime.Ctx) (int, error) {
 }
 
 // NetConn exposes the underlying net.Conn for address inspection and
-// option setting. Do not Read/Write it from task code — that blocks the
-// worker (the noblock analyzer flags it).
+// option setting. Do not Read/Write it from task code: that blocks the
+// worker the task runs on, where Read and Write suspend only the task.
 func (cn *Conn) NetConn() net.Conn { return cn.nc }
 
 // Close closes the socket. Non-suspending; pending operations complete
@@ -526,7 +529,7 @@ type Listener struct {
 // Listen opens a listening socket (e.g. "tcp", "127.0.0.1:0"). The bind
 // itself is immediate; only Accept suspends.
 func Listen(c *runtime.Ctx, network, addr string) (*Listener, error) {
-	nl, err := net.Listen(network, addr) //lhws:allowblock bind+listen complete immediately; only Accept waits
+	nl, err := net.Listen(network, addr)
 	if err != nil {
 		return nil, err
 	}

@@ -46,7 +46,7 @@ func TestWrapAdoptsRealConn(t *testing.T) {
 				return
 			}
 			srv := c.Spawn(func(cc *runtime.Ctx) { echoServe(cc, l, 4) })
-			raw, derr := net.Dial("tcp", l.Addr().String()) //lhws:allowblock test harness dial outside task path
+			raw, derr := net.Dial("tcp", l.Addr().String())
 			if derr != nil {
 				t.Errorf("dial: %v", derr)
 				return

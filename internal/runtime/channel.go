@@ -293,8 +293,6 @@ func (ch *Chan[T]) RecvOK(c *Ctx) (T, bool) {
 // cancelWait implements wakeSource: a scope cancellation removes the
 // waiter from whichever queue it is parked on and wakes the task with err
 // so it unwinds.
-//
-//lhws:nosuspend
 func (ch *Chan[T]) cancelWait(wt *waiter, err error) {
 	ch.mu.Lock()
 	removed := ch.recvq.remove(wt) || ch.sendq.remove(wt)

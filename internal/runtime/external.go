@@ -74,8 +74,6 @@ type ExternalHandle struct {
 // result was discarded. A completer whose result carries state that
 // must not be lost (bytes consumed off a socket, an accepted conn) uses
 // this to salvage it — see internal/io's unread stash.
-//
-//lhws:nosuspend
 func (h ExternalHandle) Complete(n int, err error) bool {
 	wt := h.wt
 	// Publish the payload before the wake: the claiming CAS orders these
@@ -91,8 +89,6 @@ func (h ExternalHandle) Complete(n int, err error) bool {
 // itself (abortWait), so a normal Complete would race that wake for the
 // epoch claim — and, on winning, hand the unwinding task a kicked
 // attempt's payload as if the operation had succeeded.
-//
-//lhws:nosuspend
 func (h ExternalHandle) Discard(err error) {
 	h.wt.release()
 }

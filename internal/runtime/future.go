@@ -35,8 +35,6 @@ type Future struct {
 // cancelWait either dequeues its waiter first or finds it consumed; that
 // is safe because deliver/wake take only leaf locks (injector, deque,
 // worker) and never a Future's.
-//
-//lhws:nosuspend
 func (f *Future) complete(err error) {
 	f.mu.Lock()
 	if f.done.Load() {
@@ -60,8 +58,6 @@ func (f *Future) complete(err error) {
 // waiter (if the completion has not already consumed it) and wakes the
 // task with err so it unwinds instead of waiting on a completion that may
 // never come.
-//
-//lhws:nosuspend
 func (f *Future) cancelWait(wt *waiter, err error) {
 	f.mu.Lock()
 	removed := false
@@ -182,9 +178,8 @@ func (f *Future) AwaitErr(c *Ctx) error {
 // its task shell's own, and shells are recycled, so a matching identity
 // can be the child re-injected after it started or the shell's next life:
 // the popped item is checked for real and pushed back if it is not the
-// fresh child.
-//
-//lhws:owner the awaiting task holds its worker's owner role between resume and report; a popped item that is not the awaited child is pushed straight back
+// fresh child. The awaiting task holds its worker's owner role, so the
+// peek, the pop and the push back are owner-side.
 func (c *Ctx) popUnstolen(f *Future) *task {
 	w := c.t.w
 	if w.resumedPending.Load() {
@@ -210,9 +205,8 @@ func (c *Ctx) popUnstolen(f *Future) *task {
 // singleton, so it runs through the same runInline as a latency-hiding
 // join on an unstolen child. A waiter that helps until the deque is dry
 // waits with nothing local left behind it: while its worker is held,
-// nothing but its own task pushes there.
-//
-//lhws:owner the waiting task holds its worker's owner role and runs the popped task on its own goroutine
+// nothing but its own task pushes there. The waiting task holds its
+// worker's owner role and runs the popped task on its own goroutine.
 func (c *Ctx) helpOne() bool {
 	it, ok := c.t.w.active.q.PopBottom()
 	if !ok {

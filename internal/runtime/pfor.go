@@ -51,8 +51,6 @@ type pforNode struct {
 
 // newTaskNode returns t's own node for the hot spawn/inject path.
 // Owner-role access only.
-//
-//lhws:nonblocking
 func (w *worker) newTaskNode(t *task) *pforNode {
 	nd := &t.node
 	nd.t = t
@@ -62,8 +60,6 @@ func (w *worker) newTaskNode(t *task) *pforNode {
 // newBatchNode wraps a drained resumed set in a batch and returns its
 // root node. Owner-role access only. ts must be non-empty; ownership of
 // the slice transfers to the batch.
-//
-//lhws:nonblocking
 func (w *worker) newBatchNode(ts []*task) *pforNode {
 	b := w.getBatch()
 	b.tasks = ts
@@ -82,9 +78,6 @@ func (w *worker) newBatchNode(ts []*task) *pforNode {
 // owner role with w.active installed (thieves call this after adopting
 // their new deque, so the split lands on the thief's side — the
 // half-range steal).
-//
-//lhws:nonblocking
-//lhws:owner callers hold the worker's owner role; pushes target w.active
 func (w *worker) resolveItem(it deque.Item) *task {
 	nd := it.(*pforNode)
 	if t := nd.t; t != nil {

@@ -78,8 +78,6 @@ type runtimePools struct {
 // acquireTask returns a shell ready to run r: from the worker-local free
 // list, the run's pool, or freshly allocated. Recycled shells keep their
 // resume channel, coroutine, and epoch. Owner-role access only.
-//
-//lhws:nonblocking
 func (w *worker) acquireTask(r runner) *task {
 	var t *task
 	if n := len(w.taskCache); n > 0 {
@@ -100,8 +98,6 @@ func (w *worker) acquireTask(r runner) *task {
 // worker after the shell's coroutine yields done (or by an inline helper
 // holding its owner role, after the call returns), which orders all
 // task-side writes before the reset.
-//
-//lhws:nonblocking
 func (w *worker) releaseTask(t *task) {
 	t.r = nil
 	t.fut = nil
@@ -131,8 +127,6 @@ func (rt *runtimeState) getWaiter() *waiter {
 
 // getRdeque returns an idle recycled deque (re-owned by w) or a fresh
 // one. Owner-role access only.
-//
-//lhws:nonblocking
 func (w *worker) getRdeque() *rdeque {
 	if v := w.rt.pools.rdeques.Get(); v != nil {
 		d := v.(*rdeque)
@@ -145,8 +139,6 @@ func (w *worker) getRdeque() *rdeque {
 // putRdeque recycles an idle deque dropped by retireActive. The deque's
 // bookkeeping is already zero (idle) and its Chase–Lev buffer is kept,
 // indices intact (see the safety notes above).
-//
-//lhws:nonblocking
 func (w *worker) putRdeque(d *rdeque) {
 	d.resetTarget()
 	d.owner = nil
@@ -155,8 +147,6 @@ func (w *worker) putRdeque(d *rdeque) {
 
 // getSlice returns an empty []*task with recycled capacity for a deque's
 // resumed set. Owner-role access only.
-//
-//lhws:nonblocking
 func (w *worker) getSlice() []*task {
 	if n := len(w.sliceCache); n > 0 {
 		s := w.sliceCache[n-1]
@@ -169,8 +159,6 @@ func (w *worker) getSlice() []*task {
 
 // putSlice recycles a drained resumed-set buffer; entries must already be
 // nil'd by the consumer.
-//
-//lhws:nonblocking
 func (w *worker) putSlice(s []*task) {
 	if s == nil || cap(s) == 0 {
 		return
@@ -183,8 +171,6 @@ func (w *worker) putSlice(s []*task) {
 // getNode / putNode / getBatch / putBatch recycle pfor range nodes and
 // batch headers (see pfor.go). A node or batch may be released by a
 // different worker than the one that created it (after a steal).
-//
-//lhws:nonblocking
 func (w *worker) getNode() *pforNode {
 	if v := w.rt.pools.nodes.Get(); v != nil {
 		return v.(*pforNode)
@@ -192,14 +178,12 @@ func (w *worker) getNode() *pforNode {
 	return &pforNode{}
 }
 
-//lhws:nonblocking
 func (w *worker) putNode(nd *pforNode) {
 	nd.t = nil
 	nd.b = nil
 	w.rt.pools.nodes.Put(nd)
 }
 
-//lhws:nonblocking
 func (w *worker) getBatch() *pforBatch {
 	if v := w.rt.pools.batches.Get(); v != nil {
 		return v.(*pforBatch)
@@ -207,7 +191,6 @@ func (w *worker) getBatch() *pforBatch {
 	return &pforBatch{}
 }
 
-//lhws:nonblocking
 func (w *worker) putBatch(b *pforBatch) {
 	b.tasks = nil
 	w.rt.pools.batches.Put(b)

@@ -48,14 +48,11 @@ type rdeque struct {
 	inResumedSet bool
 }
 
-//lhws:nonblocking
 func newRdeque(owner *worker) *rdeque {
 	return &rdeque{q: deque.NewChaseLev(), owner: owner}
 }
 
 // suspend records that a task belonging to this deque has suspended.
-//
-//lhws:nonblocking
 func (d *rdeque) suspend() {
 	d.suspendCtr.Add(1)
 }
@@ -63,8 +60,6 @@ func (d *rdeque) suspend() {
 // unsuspend reverses a suspend that never committed — the fast path of an
 // Await that found the future already done after marking the suspension.
 // A nil home (a Blocking-mode wait, see Ctx.waitHome) counted nothing.
-//
-//lhws:nonblocking
 func (d *rdeque) unsuspend() {
 	if d != nil {
 		d.suspendCtr.Add(-1)
@@ -73,11 +68,9 @@ func (d *rdeque) unsuspend() {
 
 // snapshot reads the suspension counter and pending-resume count for
 // watchdog diagnostics.
-//
-//lhws:nonblocking
 func (d *rdeque) snapshot() (suspended, resumed int) {
 	suspended = int(d.suspendCtr.Load())
-	d.mu.Lock() //lhws:allowblock leaf mutex with O(1) critical section, never held across a wait
+	d.mu.Lock()
 	resumed = len(d.resumed)
 	d.mu.Unlock()
 	return
@@ -107,10 +100,8 @@ func (d *rdeque) addResumed(t *task) {
 // spare (possibly nil) becomes the deque's next resumed buffer, so the
 // owner can ping-pong recycled buffers through the resume path instead of
 // re-growing a fresh slice every storm.
-//
-//lhws:nonblocking
 func (d *rdeque) takeResumed(spare []*task) []*task {
-	d.mu.Lock() //lhws:allowblock leaf mutex with O(1) critical section, never held across a wait
+	d.mu.Lock()
 	ts := d.resumed
 	d.resumed = spare
 	d.inResumedSet = false
@@ -127,8 +118,6 @@ func (d *rdeque) takeResumed(spare []*task) []*task {
 // target; every transition routes through the CAS here, through
 // resetTarget's Swap, or through clearBlownTarget's CAS, so the count is
 // exact, not advisory.
-//
-//lhws:nonblocking
 func (d *rdeque) noteTarget(tgt int64, s *cancelScope) {
 	for {
 		cur := d.targetNs.Load()
@@ -147,8 +136,6 @@ func (d *rdeque) noteTarget(tgt int64, s *cancelScope) {
 
 // resetTarget clears target bookkeeping when the deque is recycled for
 // an unrelated subtree.
-//
-//lhws:nonblocking
 func (d *rdeque) resetTarget() {
 	if d.targetNs.Swap(0) != 0 {
 		d.owner.rt.activeTargets.Add(-1)
@@ -159,8 +146,6 @@ func (d *rdeque) resetTarget() {
 // blownTarget reports whether the deque's earliest target has already
 // passed (relative to now, UnixNano), returning the scope that set it
 // and the target value observed (for clearBlownTarget).
-//
-//lhws:nonblocking
 func (d *rdeque) blownTarget(now int64) (*cancelScope, int64, bool) {
 	tgt := d.targetNs.Load()
 	if tgt == 0 || now <= tgt {
@@ -175,8 +160,6 @@ func (d *rdeque) blownTarget(now int64) (*cancelScope, int64, bool) {
 // blown. The CAS yields to any concurrent noteTarget that installed a
 // different target. Thieves call it, so the run comes from the caller:
 // d.owner is the owner role's to write, and recycling clears it.
-//
-//lhws:nonblocking
 func (d *rdeque) clearBlownTarget(rt *runtimeState, tgt int64) {
 	if d.targetNs.CompareAndSwap(tgt, 0) {
 		d.targetScope.Store(nil)
@@ -186,8 +169,6 @@ func (d *rdeque) clearBlownTarget(rt *runtimeState, tgt int64) {
 
 // idle reports whether the deque holds no items, no suspended tasks, and
 // no pending resumed tasks — i.e. it can be dropped.
-//
-//lhws:nonblocking
 func (d *rdeque) idle() bool {
 	// Order matters: read suspendCtr before the resumed set. A resumption
 	// in flight decrements the counter only after appending to resumed,
@@ -196,7 +177,7 @@ func (d *rdeque) idle() bool {
 	if d.suspendCtr.Load() != 0 {
 		return false
 	}
-	d.mu.Lock() //lhws:allowblock leaf mutex with O(1) critical section, never held across a wait
+	d.mu.Lock()
 	ok := len(d.resumed) == 0 && !d.inResumedSet
 	d.mu.Unlock()
 	return ok && d.q.Empty()

@@ -415,8 +415,6 @@ func (rt *runtimeState) taskDone() {
 // finished reports whether every task of the run has completed. The root
 // task is counted before any worker starts and a child before its parent
 // can finish, so zero is final.
-//
-//lhws:nonblocking
 func (rt *runtimeState) finished() bool {
 	return rt.liveTasks.Load() == 0
 }
@@ -424,8 +422,6 @@ func (rt *runtimeState) finished() bool {
 // published is called after work other workers could take has been made
 // visible — a PushBottom by spawn, a resumed-set injection, a pfor split:
 // one shared load while nobody is parked.
-//
-//lhws:nonblocking
 func (rt *runtimeState) published() {
 	if rt.nidle.Load() != 0 {
 		rt.wakeOne()
@@ -438,8 +434,6 @@ func (rt *runtimeState) published() {
 // work wakes the next (foundWork). The 0→1 CAS reserves the woken
 // worker's searching slot, so concurrent publishers wake one worker
 // between them — Go's wakep.
-//
-//lhws:nonblocking
 func (rt *runtimeState) wakeOne() {
 	if rt.nsearching.Load() != 0 || !rt.nsearching.CompareAndSwap(0, 1) {
 		return
@@ -459,8 +453,6 @@ func (rt *runtimeState) wakeOne() {
 // nsearching for w; wake reports whether that slot was handed on (to w,
 // or to a deferred wake that releases it if w turns out not to be
 // parked). Recovery paths use wakeAll, which the injector cannot touch.
-//
-//lhws:nonblocking
 func (rt *runtimeState) wake(w *worker, searching bool) bool {
 	if inj := rt.cfg.Faults; inj != nil {
 		switch act, d := inj.Decide(faultpoint.WorkerWake); act {
@@ -497,8 +489,6 @@ func (rt *runtimeState) wakeLater(w *worker, searching bool, d time.Duration) {
 // worker whose wake was lost holds resumed tasks only it can drain, and
 // they must run to unwind. It bypasses the fault injector so recovery
 // stays reliable at any fault rate.
-//
-//lhws:nonblocking
 func (rt *runtimeState) wakeAll() {
 	for _, w := range rt.workers {
 		w.unpark(false)
@@ -510,8 +500,6 @@ func (rt *runtimeState) wakeAll() {
 // Fail aborts the attempt; Delay models steal-latency inflation — the
 // nonzero steal latency of the Gast et al. analyses — by stalling the
 // thief before the attempt proceeds.
-//
-//lhws:nonblocking
 func (rt *runtimeState) failSteal() bool {
 	inj := rt.cfg.Faults
 	if inj == nil {
@@ -521,7 +509,7 @@ func (rt *runtimeState) failSteal() bool {
 	case faultpoint.Fail:
 		return true
 	case faultpoint.Delay:
-		time.Sleep(d) //lhws:allowblock chaos-only bounded stall modeling steal latency; unreachable without an injector
+		time.Sleep(d)
 		return false
 	default:
 		return false

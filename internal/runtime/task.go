@@ -63,8 +63,15 @@ type task struct {
 	// with the deque item, so whoever pops or steals the item reads it
 	// exclusively. next cannot serve — it stays set across pooled lives.
 	fresh   bool
-	recycle bool    // shell returns to the pool on completion
-	w       *worker // current worker; task-goroutine access only
+	recycle bool // shell returns to the pool on completion
+	// spawning is non-zero while the task is inside spawn, which holds
+	// its worker's active deque across the push; beginWait panics if a
+	// wait arms then, since the task could resume on another worker and
+	// push onto a deque it no longer owns. Task-goroutine access only.
+	// It fills the padding after the bools, so it adds nothing to the
+	// shell's size.
+	spawning int32
+	w        *worker // current worker; task-goroutine access only
 	// scope is the cancellation scope of the code running on the task's
 	// goroutine, the one checkpoint tests: the scope the task was spawned
 	// under, replaced by an inlined child's for the length of its call
@@ -104,7 +111,6 @@ type funcRunner func(*Ctx)
 
 func (f funcRunner) run(c *Ctx) { f(c) }
 
-//lhws:nonblocking
 func newTask(rt *runtimeState, r runner) *task {
 	return &task{
 		rt:     rt,
@@ -257,11 +263,11 @@ func (c *Ctx) Spawn(f func(*Ctx)) *Future {
 // spawn is the one spawn path: it arms a shell with r as its body and fut
 // as its completion future, and pushes the shell onto the bottom of the
 // active deque. fut is often a field of r's own record (Value, forHalf,
-// mapHalf), which is what makes those spawns a single allocation.
-//
-//lhws:owner a running task holds its worker's owner role between switch-in and yield (see task)
+// mapHalf), which is what makes those spawns a single allocation. The
+// task must not suspend in here (see task.spawning).
 func (c *Ctx) spawn(r runner, fut *Future) {
 	c.checkpoint()
+	c.t.spawning++
 	child := c.t.w.acquireTask(r)
 	child.scope = c.scope
 	child.fut = fut
@@ -276,6 +282,7 @@ func (c *Ctx) spawn(r runner, fut *Future) {
 	nd := c.t.w.newTaskNode(child)
 	fut.nd = nd
 	c.t.w.active.q.PushBottom(nd)
+	c.t.spawning--
 	c.t.rt.published()
 }
 
@@ -307,8 +314,6 @@ func (c *Ctx) Latency(d time.Duration) {
 // the same drainResumed batch. A package-level function (with the waiter
 // as the argument) and the timer embedded in the waiter keep the arm
 // allocation-free.
-//
-//lhws:nosuspend
 func latencyFired(arg any) {
 	wt := arg.(*waiter)
 	wt.t.rt.pendingWakes.Add(-1)
@@ -319,8 +324,6 @@ func latencyFired(arg any) {
 // scope so a cancel aborts the wait. It owns the scope reference taken in
 // beginWait: if the scope is already canceled the abort path (which
 // consumes the reference) runs inline.
-//
-//lhws:nosuspend
 func (c *Ctx) armScope(wt *waiter) {
 	if err := c.scope.addWait(wt); err != nil {
 		wt.abortWait(err)

@@ -113,10 +113,11 @@ func (c *Ctx) waitHome() *rdeque {
 // (released at the end of finishWait) and the cancellation scope's
 // (consumed by abortWait, or released by finishWait when the wait
 // deregisters cleanly). Event sources add their own before publishing.
-//
-//lhws:nosuspend
 func (c *Ctx) beginWait(site string, kind WaitKind, home *rdeque, src wakeSource) *waiter {
 	t := c.t
+	if t.spawning != 0 {
+		panic("runtime: task suspends inside spawn")
+	}
 	e := t.epoch.Add(1)
 	wt := t.rt.getWaiter()
 	wt.t = t
@@ -147,8 +148,6 @@ func (c *Ctx) beginWait(site string, kind WaitKind, home *rdeque, src wakeSource
 
 // release drops one reference; the party dropping the last one returns
 // the waiter to the pool.
-//
-//lhws:nosuspend
 func (wt *waiter) release() {
 	rt := wt.t.rt
 	if wt.refs.Add(-1) == 0 {
@@ -168,8 +167,6 @@ func (wt *waiter) release() {
 // will unwind with that error instead of continuing its operation.
 // Returns false if another wakeup already claimed this wait. The caller
 // must hold a reference; wake itself does not release one.
-//
-//lhws:nosuspend
 func (wt *waiter) wake(abortErr error) bool {
 	t := wt.t
 	if !t.epoch.CompareAndSwap(wt.epoch, wt.epoch+1) {
@@ -203,8 +200,6 @@ func (wt *waiter) wake(abortErr error) bool {
 // reference, so it must be called exactly once — by the canceling scope,
 // or inline by armScope when registration finds the scope already
 // canceled.
-//
-//lhws:nosuspend
 func (wt *waiter) abortWait(err error) {
 	if wt.timed && wt.tm.Stop() {
 		// The timer's reference stays held (see waiter).
@@ -232,8 +227,6 @@ func (wt *waiter) abortWait(err error) {
 // reference (transferring it into the delayed closure when the injector
 // defers the wake). The re-deliveries arm fresh AfterFunc timers, not
 // the embedded tm: when deliver runs from latencyFired, tm is mid-fire.
-//
-//lhws:nosuspend
 func (wt *waiter) deliver(p faultpoint.Point) bool {
 	rt := wt.t.rt
 	inj := rt.cfg.Faults
@@ -271,8 +264,6 @@ func (wt *waiter) deliver(p faultpoint.Point) bool {
 // deliverDelayed is the wheel callback for fault-delayed (and
 // fault-duplicated) wakeups; the waiter reference was transferred into
 // the timer when it was armed.
-//
-//lhws:nosuspend
 func deliverDelayed(arg any) {
 	wt := arg.(*waiter)
 	wt.t.rt.pendingWakes.Add(-1)

@@ -79,8 +79,8 @@ func newWorker(rt *runtimeState, id int, r *rng.RNG) *worker {
 // tasks never suspend, so no resumed deque is ever registered and
 // drainResumed costs it one atomic load.
 //
-//lhws:nonblocking
-//lhws:owner the worker-loop goroutine is the unique owner of its active deque
+// The worker-loop goroutine is the unique owner of its active deque.
+// TestWorkerNeverBlocks checks that it blocks nowhere but in idle.
 func (w *worker) loop() {
 	w.adoptDeque(newRdeque(w))
 	hiding := w.rt.cfg.Mode != Blocking
@@ -95,7 +95,11 @@ func (w *worker) loop() {
 		}
 		if t != nil {
 			w.foundWork()
-			w.runTask(t) //lhws:allowblock the coroutine switch parks the loop only while its task runs: a latency-hiding task yields back at every scheduling point, and a blocking-mode task runs to completion once switched in, the baseline being measured
+			// The coroutine switch parks the loop only while its task
+			// runs: a latency-hiding task yields back at every scheduling
+			// point, and a blocking-mode task runs to completion once
+			// switched in, the baseline being measured.
+			w.runTask(t)
 			continue
 		}
 		if hiding {
@@ -140,17 +144,15 @@ func (w *worker) runTask(t *task) reportKind {
 // non-active deques ready. Injection is O(1) per deque in the batch size;
 // the tree splits lazily as it is popped or stolen. A batch of one skips
 // the tree and pushes the task directly. An injection of more than the
-// one task this worker runs next is work for a parked worker.
-//
-//lhws:nonblocking
-//lhws:owner runs on the worker-loop goroutine, which owns every deque it drains
+// one task this worker runs next is work for a parked worker. It runs on
+// the worker-loop goroutine, which owns every deque it drains.
 func (w *worker) drainResumed() {
 	if !w.resumedPending.Load() {
 		// A registration racing this load is seen by the next iteration,
 		// exactly as one landing just after the unlock below would be.
 		return
 	}
-	w.mu.Lock() //lhws:allowblock leaf mutex with O(1) critical sections, never held across a wait
+	w.mu.Lock()
 	dqs := w.resumedDq
 	w.resumedDq = w.drainBuf
 	w.drainBuf = nil
@@ -202,10 +204,8 @@ func (w *worker) noteResumedDeque(d *rdeque) {
 
 // addReady appends d to the ready list; the inReadySet flag (guarded by
 // w.mu) makes membership O(1) instead of a list scan.
-//
-//lhws:nonblocking
 func (w *worker) addReady(d *rdeque) {
-	w.mu.Lock() //lhws:allowblock leaf mutex with O(1) critical section, never held across a wait
+	w.mu.Lock()
 	if !d.inReadySet {
 		d.inReadySet = true
 		w.ready = append(w.ready, d)
@@ -219,15 +219,13 @@ func (w *worker) addReady(d *rdeque) {
 // idle deque is safe even against a thief still holding a pointer to it:
 // the Chase–Lev indices are never reset, so the stale thief performs an
 // ordinary steal against the deque's next contents (see pool.go).
-//
-//lhws:nonblocking
 func (w *worker) retireActive() {
 	a := w.active
 	if a == nil {
 		return
 	}
 	drop := a.idle()
-	w.mu.Lock() //lhws:allowblock leaf mutex with O(1) critical section, never held across a wait
+	w.mu.Lock()
 	w.active = nil
 	if drop {
 		w.live--
@@ -246,10 +244,8 @@ func (w *worker) retireActive() {
 // With no target anywhere in the run (rt.activeTargets, as in trySteal)
 // the scan is skipped and selection stays LIFO, preserving the locality
 // the paper's §6 policy relies on.
-//
-//lhws:nonblocking
 func (w *worker) trySwitch() bool {
-	w.mu.Lock() //lhws:allowblock leaf mutex with O(1) critical section, never held across a wait
+	w.mu.Lock()
 	n := len(w.ready)
 	if n == 0 {
 		w.mu.Unlock()
@@ -307,10 +303,9 @@ func (w *worker) trySwitch() bool {
 // (stealable onward by the next thief), the bottom the deepest, and the
 // thief runs the very oldest item first — observably a single classic
 // steal of the top item plus a prefix transfer. The victim deque's
-// target marker migrates once per batch, not per item.
-//
-//lhws:owner runs on the worker-loop goroutine; the batch tail is pushed onto w.active, which this thief owns (freshly adopted in latency-hiding mode, the permanent single deque in blocking mode)
-//lhws:nonblocking
+// target marker migrates once per batch, not per item. The tail goes
+// onto w.active, which the thief owns: freshly adopted in latency-hiding
+// mode, the permanent single deque in blocking mode.
 func (w *worker) trySteal() bool {
 	if !w.searching {
 		w.searching = true
@@ -329,7 +324,7 @@ func (w *worker) trySteal() bool {
 	if scanTargets {
 		now = time.Now().UnixNano()
 	}
-	victim.mu.Lock() //lhws:allowblock leaf mutex on the victim, O(1) critical section, never held across a wait
+	victim.mu.Lock()
 	var target *rdeque
 	var bestTgt int64
 	nready := len(victim.ready)
@@ -362,7 +357,9 @@ func (w *worker) trySteal() bool {
 	}
 	if scanTargets && w.rt.cfg.ShedBlownTargets {
 		if sc, tgt, blown := target.blownTarget(now); blown {
-			if sc != nil && sc.cancel(ErrTargetMissed) { //lhws:allowblock shed path, not a steal hot path: scope-tree leaf mutexes with O(children) critical sections, never held across a wait
+			// The shed path, not a steal hot path: cancel takes the scope
+			// tree's leaf mutexes, O(children) each.
+			if sc != nil && sc.cancel(ErrTargetMissed) {
 				w.rt.stats.TargetCancels.Add(1)
 				return false
 			}
@@ -406,8 +403,6 @@ func (w *worker) trySteal() bool {
 
 // pickVictim draws the victim uniformly over the other workers — the
 // paper's §6 policy — or returns nil when the thief is alone.
-//
-//lhws:nonblocking
 func (w *worker) pickVictim() *worker {
 	n := len(w.rt.workers)
 	if n == 1 {
@@ -422,10 +417,8 @@ func (w *worker) pickVictim() *worker {
 
 // adoptDeque installs a fresh deque as the active deque and updates the
 // per-worker allocation high-water mark.
-//
-//lhws:nonblocking
 func (w *worker) adoptDeque(d *rdeque) {
-	w.mu.Lock() //lhws:allowblock leaf mutex with O(1) critical section, never held across a wait
+	w.mu.Lock()
 	w.active = d
 	w.live++
 	live := w.live
@@ -449,8 +442,6 @@ const spinProbes = 8
 // searcher to find work wakes one more parked worker, because publishers
 // that saw a searcher did not (see runtimeState.published): that is how a
 // burst of work spreads one wake at a time instead of as a storm.
-//
-//lhws:nonblocking
 func (w *worker) foundWork() {
 	w.failedSteals = 0
 	if w.searching {
@@ -491,8 +482,6 @@ func (w *worker) foundWork() {
 // steals keep failing beyond that (an injected steal fault, a blown-target
 // deque being shed, a victim popping its last item itself) is the one case
 // left for a timed wait: a capped exponential sleep, 1µs doubling to 100µs.
-//
-//lhws:parks blocks only after announcing and then finding nothing runnable, resumable or stealable; every publisher of work looks for the announcement afterwards
 func (w *worker) idle() {
 	w.failedSteals++
 	rt := w.rt
@@ -561,8 +550,6 @@ func (w *worker) queuedDeques() int {
 // withdrawal) exactly one wins, and only the winner sends a token.
 // searching tells the worker it was counted in rt.nsearching by the
 // waker. Reports whether this call was the one that woke the worker.
-//
-//lhws:nonblocking
 func (w *worker) unpark(searching bool) bool {
 	if !w.parked.CompareAndSwap(true, false) {
 		return false

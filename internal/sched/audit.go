@@ -51,8 +51,6 @@ func newAuditor(g *dag.Graph) *auditor {
 
 // recordExec checks Lemma 2 condition 1 for a dag vertex executing at
 // enabling depth d.
-//
-//lhws:nonblocking
 func (a *auditor) recordExec(v dag.VertexID, d int64) {
 	if a.err != nil {
 		return

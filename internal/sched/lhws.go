@@ -223,8 +223,6 @@ func (s *lhwsSim) noneAssigned() bool {
 // round, running its callback (Figure 3, lines 1-5): append to the deque's
 // resumedVertices, decrement the suspension counter, and register the deque
 // in its owner's resumedDeques set.
-//
-//lhws:nonblocking
 func (s *lhwsSim) fireTimers() {
 	evs, ok := s.timers[s.round]
 	if !ok {
@@ -250,8 +248,6 @@ func (s *lhwsSim) fireTimers() {
 // assigned vertex, handle the right child, inject resumed vertices, handle
 // the left child, then pop the next assigned vertex from the active deque
 // (under RunWS, an expired pending child comes first).
-//
-//lhws:nonblocking
 func (s *lhwsSim) executeStep(w *lhwsWorker) {
 	n := w.assigned
 	w.assigned = nil
@@ -284,8 +280,6 @@ func (s *lhwsSim) executeStep(w *lhwsWorker) {
 
 // popPending returns the child a RunWS worker blocked on most recently,
 // or nil if it has none.
-//
-//lhws:nonblocking
 func (s *lhwsSim) popPending(w *lhwsWorker) *node {
 	n := len(w.pending)
 	if n == 0 {
@@ -306,8 +300,6 @@ func (s *lhwsSim) popPending(w *lhwsWorker) *node {
 // exists, an auxiliary vertex u′ is interposed so both the pfor root and
 // the left child sit at depth+2 (Figure 6(d)); without a left child the
 // pfor root hangs directly at depth+1.
-//
-//lhws:nonblocking
 func (s *lhwsSim) executeUser(w *lhwsWorker, n *node) {
 	v := n.v
 	if s.execRound[v] >= 0 {
@@ -350,8 +342,6 @@ func (s *lhwsSim) executeUser(w *lhwsWorker, n *node) {
 // the bottom of the active deque at the given enabling-tree depth. Under
 // RunWS a heavy in-edge instead blocks the worker until the latency
 // expires, with the child pending at the same depth.
-//
-//lhws:nonblocking
 func (s *lhwsSim) handleChild(w *lhwsWorker, depth int64, e dag.OutEdge) {
 	s.joinLeft[e.To]--
 	if s.joinLeft[e.To] > 0 {
@@ -384,8 +374,6 @@ func (s *lhwsSim) handleChild(w *lhwsWorker, depth int64, e dag.OutEdge) {
 // resumed vertices in two, pushing the right half then the left half
 // (singleton halves collapse directly to their user vertex). Depths follow
 // the same auxiliary-vertex rule as executeUser.
-//
-//lhws:nonblocking
 func (s *lhwsSim) executePfor(w *lhwsWorker, n *node) {
 	s.stats.PforWork++
 	mid := n.lo + (n.hi-n.lo)/2
@@ -398,7 +386,6 @@ func (s *lhwsSim) executePfor(w *lhwsWorker, n *node) {
 	s.push(w.active, s.pforChild(n, n.lo, mid, leftDepth))
 }
 
-//lhws:nonblocking
 func (s *lhwsSim) pforChild(parent *node, lo, hi int, depth int64) *node {
 	if hi-lo == 1 {
 		return &node{v: parent.pfor[lo].v, depth: depth, addedRound: s.round}
@@ -416,8 +403,6 @@ func (s *lhwsSim) pforChild(parent *node, lo, hi int, depth int64) *node {
 // active deque hangs off cur directly (depth+1) or via an auxiliary vertex
 // (depth+2, Figure 6(d)). It returns whether a node was pushed onto the
 // active deque.
-//
-//lhws:nonblocking
 func (s *lhwsSim) addResumedVertices(w *lhwsWorker, cur *node, leftPending bool) bool {
 	injectedActive := false
 	if len(w.resumed) == 0 {
@@ -471,8 +456,6 @@ func (s *lhwsSim) addResumedVertices(w *lhwsWorker, cur *node, leftPending bool)
 // inserted, following the auxiliary-chain construction of §4.1: the depth
 // of the deque's bottom vertex (or, if empty, its last executed vertex)
 // plus one auxiliary vertex per intervening round.
-//
-//lhws:nonblocking
 func (s *lhwsSim) pforRootDepth(q *ldeque) int64 {
 	if len(q.items) > 0 {
 		b := q.items[len(q.items)-1]
@@ -484,8 +467,6 @@ func (s *lhwsSim) pforRootDepth(q *ldeque) int64 {
 // acquireStep runs Figure 3 lines 41-56 for a worker with no assigned
 // vertex: retire the drained active deque, then switch to an owned ready
 // deque if one exists, otherwise attempt to steal from a random deque.
-//
-//lhws:nonblocking
 func (s *lhwsSim) acquireStep(w *lhwsWorker) {
 	if w.active != nil {
 		q := w.active
@@ -555,8 +536,6 @@ func (s *lhwsSim) acquireStep(w *lhwsWorker) {
 }
 
 // pickVictim selects a steal victim according to the configured policy.
-//
-//lhws:nonblocking
 func (s *lhwsSim) pickVictim(w *lhwsWorker) *ldeque {
 	switch s.opt.Policy {
 	case StealWorkerThenDeque:
@@ -601,8 +580,6 @@ func (s *lhwsSim) pickVictim(w *lhwsWorker) *ldeque {
 
 // newDeque implements Figure 5: reuse a previously freed deque if the
 // worker has one, otherwise append a fresh deque to the global array.
-//
-//lhws:nonblocking
 func (s *lhwsSim) newDeque(w *lhwsWorker) *ldeque {
 	var q *ldeque
 	if n := len(w.empty); n > 0 {
@@ -624,13 +601,11 @@ func (s *lhwsSim) newDeque(w *lhwsWorker) *ldeque {
 	return q
 }
 
-//lhws:nonblocking
 func (s *lhwsSim) push(q *ldeque, n *node) {
 	q.pushBottom(n)
 	s.queuedItems++
 }
 
-//lhws:nonblocking
 func (s *lhwsSim) pop(q *ldeque) *node {
 	n := q.popBottom()
 	if n != nil {

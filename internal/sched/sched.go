@@ -319,13 +319,10 @@ type ldeque struct {
 	lastExecRound int64
 }
 
-//lhws:nonblocking
 func (q *ldeque) pushBottom(n *node) { q.items = append(q.items, n) }
 
-//lhws:nonblocking
 func (q *ldeque) empty() bool { return len(q.items) == 0 }
 
-//lhws:nonblocking
 func (q *ldeque) popBottom() *node {
 	if len(q.items) == 0 {
 		return nil
@@ -336,7 +333,6 @@ func (q *ldeque) popBottom() *node {
 	return n
 }
 
-//lhws:nonblocking
 func (q *ldeque) popTop() *node {
 	if len(q.items) == 0 {
 		return nil

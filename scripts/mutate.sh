@@ -11,18 +11,17 @@
 #       all of scripts/mutants/*.patch) apply it, run every gate to the
 #       end, and print one markdown row.
 #
-# The gates, in `make ci` order: lhws-vet (each kill credited to the
-# analyzer that reported it), go vet, tier-1 (go build ./... && go test
-# ./...), make race-core, make chaos and make fuzz-sim. A mutant must
-# compile; one that does not is reported and counts as no row.
+# The gates, in `make ci` order: go vet, tier-1 (go build ./... && go
+# test ./...), make race-core, make chaos and make fuzz-sim. A mutant
+# must compile; one that does not is reported and counts as no row.
 #
-# Every gate but lhws-vet and go vet is nondeterministic (-race
-# schedules, seeded chaos on a loaded host, fuzzing, wall-clock tests),
-# so a kill by one of them is re-run, and it counts only if both runs
-# kill. Cells: K killed, . survived, 1/2 killed on one run of two (not
-# counted). A test that hangs past the
-# per-binary timeout (GOFLAGS=-timeout, default 180s) fails, so a hang
-# is a kill.
+# Every gate but go vet is nondeterministic (-race schedules, seeded
+# chaos on a loaded host, fuzzing, wall-clock tests), so a kill by one of
+# them is re-run, and it counts only if both runs kill. Cells: K killed,
+# . survived, 1/2 killed on one run of two (not counted). A test that
+# hangs past the per-binary timeout (GOFLAGS=-timeout, default 180s)
+# fails, so a hang is a kill. The first-kill cell names the gate and the
+# first test its log reports failing.
 #
 # The tree itself is never touched: mutants are applied to the copy,
 # which is deleted afterwards; the gates' logs are kept beside it.
@@ -70,7 +69,6 @@ git init -q
 git add -A
 git -c user.name=mutate -c user.email=mutate@localhost commit -qm base
 
-analyzers=$(sed -n 's/^[[:space:]]*\([a-z]*\)\.Analyzer,$/\1/p' cmd/lhws-vet/main.go)
 gates="go-vet tier-1 race-core chaos fuzz-sim"
 export GOFLAGS=-timeout=${MUTATE_TEST_TIMEOUT:-180s}
 
@@ -78,7 +76,6 @@ export GOFLAGS=-timeout=${MUTATE_TEST_TIMEOUT:-180s}
 # pass, else kill).
 gate() {
 	case $1 in
-	lhws-vet) go run ./cmd/lhws-vet ./... ;;
 	go-vet) go vet ./... ;;
 	tier-1) GOFLAGS= go build ./... && go test ./... ;;
 	race-core) make -s race-core ;;
@@ -89,7 +86,6 @@ gate() {
 
 header="| mutant |"
 sep="|---|"
-for a in $analyzers; do header+=" $a |"; sep+="---|"; done
 for g in $gates; do header+=" $g |"; sep+="---|"; done
 header+=" first kill | time to kill (s) | wall (s) |"
 sep+="---|---|---|"
@@ -100,7 +96,7 @@ sep+="---|---|---|"
 
 # audit <name> [patch]: one row.
 audit() {
-	local name=$1 patch=${2:-} t0 t1 st first="" ttk="" elapsed=0 row cells=""
+	local name=$1 patch=${2:-} t0 t1 st tst first="" ttk="" elapsed=0 row cells=""
 	git checkout -q -- . && git clean -fdxq
 	if [ -n "$patch" ] && ! git apply "$patch" 2>"$logs/$name.apply"; then
 		echo "| $name | does not apply |" >>"$out"
@@ -111,25 +107,6 @@ audit() {
 		echo "| $name | does not compile |" >>"$out"
 		return
 	fi
-	# lhws-vet: one run, every analyzer credited separately.
-	t1=$(date +%s)
-	st=0
-	gate lhws-vet >"$logs/$name.lhws-vet" 2>&1 || st=$?
-	elapsed=$((elapsed + $(date +%s) - t1))
-	if [ $st -eq 2 ]; then
-		echo "| $name | lhws-vet load error |" >>"$out"
-		return
-	fi
-	local hit
-	hit=$(grep -o '([a-z]*)$' "$logs/$name.lhws-vet" | tr -d '()' | sort -u || true)
-	for a in $analyzers; do
-		if echo "$hit" | grep -qx "$a"; then
-			cells+=" K |"
-			[ -n "$first" ] || { first=$a; ttk=$elapsed; }
-		else
-			cells+=" . |"
-		fi
-	done
 	for g in $gates; do
 		t1=$(date +%s)
 		st=0
@@ -142,7 +119,11 @@ audit() {
 		# go vet is deterministic; any other kill must repeat.
 		if [ "$g" = go-vet ] || ! gate "$g" >"$logs/$name.$g.2" 2>&1; then
 			cells+=" K |"
-			[ -n "$first" ] || { first=$g; ttk=$elapsed; }
+			if [ -z "$first" ]; then
+				tst=$(grep -m1 -o -- '--- FAIL: [^ ]*' "$logs/$name.$g.1" | cut -d' ' -f3 || true)
+				first="$g${tst:+ $tst}"
+				ttk=$elapsed
+			fi
 		else
 			cells+=" 1/2 |"
 		fi
