@@ -3,7 +3,7 @@ GO ?= go
 # Core packages whose hot paths the race/vet gates guard.
 CORE := ./internal/deque/... ./internal/runtime/... ./internal/sched/...
 
-.PHONY: all build cross-build test race race-core vet lint chaos fuzz-sim bench-runtime bench-goodput bench-goodput-smoke bench-smoke bench-repo-smoke mutants-check ci figures clean
+.PHONY: all build cross-build test race race-core race-repeat vet lint chaos fuzz-sim bench-runtime bench-goodput bench-goodput-smoke bench-smoke bench-repo-smoke mutants-check ci figures clean
 
 all: build
 
@@ -24,17 +24,24 @@ test:
 race:
 	$(GO) test -race -count=1 ./...
 
-# The recycling tests run five more times: under -race sync.Pool drops
-# items at random, so a test that passes only when the pool happens to
-# return an object fails here instead of flaking in CI. The cancel and
+race-core:
+	$(GO) test -race -count=1 $(CORE)
+	$(MAKE) --no-print-directory race-repeat
+
+# race-repeat runs the tests whose interleavings vary most from run to run
+# five more times under -race. The recycling tests: under -race sync.Pool
+# drops items at random, so a test that passes only when the pool happens
+# to return an object fails here instead of flaking in CI. The cancel and
 # watchdog tests ride along: a cancel detaching a scope's wait list races
 # the waits unlinking themselves. So do the Blocking-mode tests, whose
 # waits run on the same reference-counted, pooled waiters. So do the
 # coroutine tests: a shell's coroutine is switched into by one worker
-# goroutine and back in by another, and stopped by Run from a third.
-race-core:
-	$(GO) test -race -count=1 $(CORE)
+# goroutine and back in by another, and stopped by Run from a third. The
+# deque's concurrent tests are the evidence for batched steals, whose
+# single-item pops other thieves and the owner may interleave.
+race-repeat:
 	$(GO) test -race -count=5 -run 'Pool|Recycled|TestAllocs|Cancel|Watchdog|Blocking|Coroutine' ./internal/runtime/
+	$(GO) test -race -count=5 -run Concurrent ./internal/deque/
 
 vet:
 	$(GO) vet ./...
@@ -105,7 +112,7 @@ mutants-check:
 	bash scripts/mutate.sh -check
 
 # ci mirrors .github/workflows/ci.yml.
-ci: build cross-build lint mutants-check vet test race chaos fuzz-sim bench-smoke bench-goodput-smoke bench-repo-smoke
+ci: build cross-build lint mutants-check vet test race race-repeat chaos fuzz-sim bench-smoke bench-goodput-smoke bench-repo-smoke
 
 figures:
 	$(GO) run ./cmd/lhws-bench -exp fig11 -svg figures

@@ -43,10 +43,10 @@ type Deque interface {
 	// PopTop removes and returns the item at the thief end.
 	// ok is false if the deque was observed empty or the steal lost a race.
 	PopTop() (it Item, ok bool)
-	// PopTopBatch removes up to max items (at most half the deque, but a
+	// PopTopBatch removes up to limit items (at most half the deque, but a
 	// lone item is taken whole) from the thief end into dst, oldest first,
 	// and returns the count; 0 plays the role of a failed PopTop.
-	PopTopBatch(dst []Item, max int) int
+	PopTopBatch(dst []Item, limit int) int
 	// Empty reports whether the deque was observed empty.
 	Empty() bool
 	// Len returns the observed number of items.

@@ -1,11 +1,9 @@
 package deque
 
 import (
-	goruntime "runtime"
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 // implementations returns fresh instances of every Deque implementation for
@@ -173,32 +171,34 @@ func TestInterleavedPushPop(t *testing.T) {
 
 // TestPopTopBatchSemantics locks in the batch-transfer contract shared by
 // both implementations: at most half the items move (a lone item moves
-// whole), oldest first, capped by max and len(dst), with the victim
-// keeping the bottom half in order.
+// whole), oldest first, capped by limit, len(dst) and MaxBatch, with the
+// victim keeping the bottom half in order.
 func TestPopTopBatchSemantics(t *testing.T) {
 	for name, mk := range implementations() {
 		t.Run(name, func(t *testing.T) {
 			for _, tc := range []struct {
-				n, max, want int
+				n, limit, dst, want int
 			}{
-				{0, 8, 0},  // empty
-				{1, 8, 1},  // lone item moves whole
-				{2, 8, 1},  // half of two
-				{3, 8, 1},  // floor(n/2)
-				{8, 8, 4},  // half
-				{9, 8, 4},  // floor(9/2) = 4
-				{32, 8, 8}, // capped by max
-				{8, 1, 1},  // max 1 degenerates to a single steal
-				{8, 0, 0},  // max 0 is a no-op
+				{0, 8, 16, 0},             // empty
+				{1, 8, 16, 1},             // lone item moves whole
+				{2, 8, 16, 1},             // half of two
+				{3, 8, 16, 1},             // floor(n/2)
+				{8, 8, 16, 4},             // half
+				{9, 8, 16, 4},             // floor(9/2) = 4
+				{32, 8, 16, 8},            // capped by limit
+				{32, 8, 5, 5},             // capped by len(dst) < limit
+				{300, 100, 128, MaxBatch}, // capped by MaxBatch < limit
+				{8, 1, 16, 1},             // limit 1 degenerates to a single steal
+				{8, 0, 16, 0},             // limit 0 is a no-op
 			} {
 				d := mk()
 				for i := 0; i < tc.n; i++ {
 					d.PushBottom(i)
 				}
-				dst := make([]Item, 16)
-				got := d.PopTopBatch(dst, tc.max)
+				dst := make([]Item, tc.dst)
+				got := d.PopTopBatch(dst, tc.limit)
 				if got != tc.want {
-					t.Fatalf("n=%d max=%d: transferred %d items, want %d", tc.n, tc.max, got, tc.want)
+					t.Fatalf("n=%d limit=%d len(dst)=%d: transferred %d items, want %d", tc.n, tc.limit, tc.dst, got, tc.want)
 				}
 				for i := 0; i < got; i++ {
 					if dst[i].(int) != i {
@@ -241,9 +241,9 @@ func TestPopTopBatchDifferential(t *testing.T) {
 					return false
 				}
 			case 3:
-				max := int(op)/4%5 + 1
-				na := cl.PopTopBatch(bufA, max)
-				nb := lk.PopTopBatch(bufB, max)
+				limit := int(op)/4%5 + 1
+				na := cl.PopTopBatch(bufA, limit)
+				nb := lk.PopTopBatch(bufB, limit)
 				if na != nb {
 					return false
 				}
@@ -264,58 +264,13 @@ func TestPopTopBatchDifferential(t *testing.T) {
 	}
 }
 
-// TestPopBottomWaitsOutBatchClaim replays, step by step, an owner pop
-// that lands inside a batch thief's claimed range: the owner must wait
-// for the claim to clear and then decide against the top the commit left
-// behind. An owner that read top before the claim word would keep the
-// pre-commit top and take an item the thief has already committed.
-func TestPopBottomWaitsOutBatchClaim(t *testing.T) {
-	d := NewChaseLev()
-	for i := 0; i < 4; i++ {
-		d.PushBottom(i)
-	}
-	// A batch thief has claimed and copied [0,2) but not yet committed.
-	d.claim.Store(0<<claimShift | 2)
-	for want := 3; want >= 2; want-- {
-		if it, ok := d.PopBottom(); !ok || it != want {
-			t.Fatalf("pop outside the claim = %v, %v; want %d", it, ok, want)
-		}
-	}
-	type pop struct {
-		it Item
-		ok bool
-	}
-	res := make(chan pop, 1)
-	go func() {
-		it, ok := d.PopBottom()
-		res <- pop{it, ok}
-	}()
-	for d.bottom.Load() != 1 {
-		goruntime.Gosched()
-	}
-	time.Sleep(10 * time.Millisecond) // the owner is spinning on the claim
-	select {
-	case p := <-res:
-		t.Fatalf("pop inside a live claim returned %v, %v before the claim cleared", p.it, p.ok)
-	default:
-	}
-	if !d.top.CompareAndSwap(0, 2) {
-		t.Fatal("thief commit failed")
-	}
-	d.claim.Store(0)
-	if p := <-res; p.ok {
-		t.Fatalf("owner popped item %v, which the thief committed", p.it)
-	}
-	if n := d.Len(); n != 0 {
-		t.Fatalf("Len = %d after the thief took the rest, want 0", n)
-	}
-}
-
 // TestConcurrentBatchSteals hammers one owner (push/pop) against batch
 // thieves and single thieves simultaneously and verifies exactly-once
-// consumption — the invariant the claim protocol exists to protect. The
-// owner keeps the deque short so the contested window (owner fast-path
-// pop inside a claimed range) is hit constantly.
+// consumption, and that every batch comes out strictly increasing: thieves
+// may interleave inside one another's batches, and the runtime's verbatim
+// transfer needs each batch oldest first even with gaps. The owner keeps
+// the deque short so batches race the owner's pops and each other
+// constantly.
 func TestConcurrentBatchSteals(t *testing.T) {
 	const (
 		nItems       = 30000
@@ -333,6 +288,14 @@ func TestConcurrentBatchSteals(t *testing.T) {
 		seen[it.(int)]++
 		mu.Unlock()
 	}
+	recordBatch := func(buf []Item) {
+		for j, it := range buf {
+			if j > 0 && it.(int) <= buf[j-1].(int) {
+				t.Errorf("batch %v is not strictly increasing", buf)
+			}
+			record(it)
+		}
+	}
 	var thieves sync.WaitGroup
 	done := make(chan struct{})
 	for i := 0; i < nBatchers; i++ {
@@ -342,9 +305,7 @@ func TestConcurrentBatchSteals(t *testing.T) {
 			buf := make([]Item, MaxBatch)
 			for {
 				if n := d.PopTopBatch(buf, 8); n > 0 {
-					for j := 0; j < n; j++ {
-						record(buf[j])
-					}
+					recordBatch(buf[:n])
 					continue
 				}
 				select {
@@ -354,9 +315,7 @@ func TestConcurrentBatchSteals(t *testing.T) {
 						if n == 0 {
 							return
 						}
-						for j := 0; j < n; j++ {
-							record(buf[j])
-						}
+						recordBatch(buf[:n])
 					}
 				default:
 				}

@@ -49,18 +49,18 @@ func (d *Locked) PopTop() (Item, bool) {
 	return it, true
 }
 
-// PopTopBatch removes up to max items from the thief end, at most half of
-// the deque (a lone item is taken whole), oldest first — the same
-// semantics as ChaseLev.PopTopBatch, arbitrated by the mutex instead of
-// the claim protocol.
-func (d *Locked) PopTopBatch(dst []Item, max int) int {
-	if max > len(dst) {
-		max = len(dst)
+// PopTopBatch removes up to limit items from the thief end, at most half
+// of the deque (a lone item is taken whole), oldest first — the same
+// semantics as ChaseLev.PopTopBatch, but atomic: under the mutex no other
+// thief can take an item between two of the batch's.
+func (d *Locked) PopTopBatch(dst []Item, limit int) int {
+	if limit > len(dst) {
+		limit = len(dst)
 	}
-	if max > MaxBatch {
-		max = MaxBatch
+	if limit > MaxBatch {
+		limit = MaxBatch
 	}
-	if max <= 0 {
+	if limit <= 0 {
 		return 0
 	}
 	d.mu.Lock()
@@ -73,8 +73,8 @@ func (d *Locked) PopTopBatch(dst []Item, max int) int {
 	if n == 1 {
 		take = 1
 	}
-	if take > max {
-		take = max
+	if take > limit {
+		take = limit
 	}
 	for i := 0; i < take; i++ {
 		dst[i] = d.items[i]

@@ -76,10 +76,10 @@ import (
 )
 
 // DefaultStealBatch caps how many items one successful steal transfers
-// (a steal never takes more than half the victim deque regardless).
-// Sixteen keeps one batch well under the claim-word limit
-// (deque.MaxBatch) while amortizing the steal handshake over about 12
-// items per steal on a skewed fan-out (EXPERIMENTS.md "Steal economics").
+// (a steal never takes more than half the victim deque regardless, nor
+// more than deque.MaxBatch). Sixteen spreads the victim pick and the
+// deque adoption over about 12 items per steal on a skewed fan-out
+// (EXPERIMENTS.md "Steal economics").
 const DefaultStealBatch = 16
 
 // Mode selects the scheduling algorithm.

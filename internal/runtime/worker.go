@@ -296,16 +296,18 @@ func (w *worker) trySwitch() bool {
 //
 // The transfer itself is the steal-half batching of Rito & Paulino
 // (arXiv:1810.10615): PopTopBatch moves up to half the victim deque —
-// capped at DefaultStealBatch — under one claim + one committing CAS,
-// so synchronization is paid per transfer, not per item. The batch tail
-// is re-pushed onto the thief's deque oldest-first, making the thief's
-// deque the stolen range verbatim: the topmost item is the oldest
+// capped at DefaultStealBatch — as a run of single-item CASes on top, so
+// the victim pick and the deque adoption are paid per transfer, not per
+// item. Another thief may take items between two of the run's, but the
+// batch still comes out oldest first. The batch tail is re-pushed onto
+// the thief's deque oldest-first, making the thief's deque the stolen
+// items in their victim order: the topmost item is the oldest
 // (stealable onward by the next thief), the bottom the deepest, and the
 // thief runs the very oldest item first — observably a single classic
-// steal of the top item plus a prefix transfer. The victim deque's
-// target marker migrates once per batch, not per item. The tail goes
-// onto w.active, which the thief owns: freshly adopted in latency-hiding
-// mode, the permanent single deque in blocking mode.
+// steal of the top item plus further steals from the top. The victim
+// deque's target marker migrates once per batch, not per item. The tail
+// goes onto w.active, which the thief owns: freshly adopted in
+// latency-hiding mode, the permanent single deque in blocking mode.
 func (w *worker) trySteal() bool {
 	if !w.searching {
 		w.searching = true
