@@ -16,10 +16,11 @@
 //     resumes, a callback returns it to that deque, and the owner injects
 //     it back at the next scheduling point. Workers with an empty active
 //     deque first switch to another owned ready deque, then steal — per §6,
-//     steals target a random victim worker and then one of its ready
-//     deques. Only heavy edges suspend: an Await on a child nobody stole —
-//     still fresh at the bottom of the awaiter's deque — pops the child and
-//     runs it as a function call.
+//     a steal picks a random victim worker, then one of its active and
+//     ready deques, and takes up to half of that deque's items, oldest
+//     first (DefaultStealBatch). Only heavy edges suspend: an Await on a
+//     child nobody stole — still fresh at the bottom of the awaiter's
+//     deque — pops the child and runs it as a function call.
 //
 //   - Blocking: standard work stealing. Every wait — Latency, Await, a
 //     channel receive, an external completion — holds the worker for its
@@ -77,9 +78,13 @@ import (
 
 // DefaultStealBatch caps how many items one successful steal transfers
 // (a steal never takes more than half the victim deque regardless, nor
-// more than deque.MaxBatch). Sixteen spreads the victim pick and the
-// deque adoption over about 12 items per steal on a skewed fan-out
-// (EXPERIMENTS.md "Steal economics").
+// more than deque.MaxBatch). The batch also decides where resumed tasks
+// wait: a thief that takes a request tree's root together with the items
+// below it keeps the deque its requests suspend from active, so their
+// resumptions run at its next pop instead of waiting in a ready deque
+// until the thief's next deque drains. One-item steals doubled to
+// tripled workload.Mixed's median response (EXPERIMENTS.md "Steal
+// economics").
 const DefaultStealBatch = 16
 
 // Mode selects the scheduling algorithm.
