@@ -42,7 +42,8 @@ const (
 	Suspend
 	// ResumeInject is the resume wakeup that returns a suspended task
 	// to its owning deque (timer fire, future completion — Figure 3
-	// lines 1-5); Drop loses the wakeup, Delay defers it, Dup delivers
+	// lines 1-5; a join waiter has no deque and goes to its worker's
+	// join list); Drop loses the wakeup, Delay defers it, Dup delivers
 	// it twice.
 	ResumeInject
 	// ChanWakeup is the channel-handoff wakeup (sender resuming a

@@ -19,23 +19,26 @@ type Future struct {
 	// has already finished — most joins of a fan-out — take that path.
 	done atomic.Bool
 	err  error // the child's outcome: nil, cancellation cause, or wrapped panic
-	// w0 is the first suspended waiter, inlined because almost every
-	// future has exactly one awaiter — the common case then registers
-	// without touching the overflow slice (no allocation). overflow holds
-	// any further waiters.
-	w0       *waiter
-	overflow []*waiter
+	// w0 heads the list of suspended waiters, linked through
+	// waiter.fnext. Almost every future has at most one, so the list
+	// costs one word where a slice would cost three.
+	w0 *waiter
 	// nd is the deque node the child was pushed in, an identity only: a
 	// join compares it with the bottom item before it pops anything.
 	nd *pforNode
 }
 
 // complete marks the future done with the child's outcome and wakes its
-// waiters. Waiters are delivered while f.mu is held, so a racing
-// cancelWait either dequeues its waiter first or finds it consumed; that
-// is safe because deliver/wake take only leaf locks (injector, deque,
-// worker) and never a Future's.
-func (f *Future) complete(err error) {
+// waiters. w is the completing task's worker, whose owner role the
+// completing task holds (inside runInline too): a latency-hiding join wait
+// is a light edge, so each waiter continues on w — pushed onto w's active
+// deque, as Figure 3 pushes a join vertex enabled by its last predecessor
+// — unless the waiter has not yielded yet, or faults are injected (see
+// waiter.continueOn). Waiters are delivered while f.mu is held, so a
+// racing cancelWait either dequeues its waiter first or finds it
+// consumed; that is safe because delivery takes only leaf locks
+// (injector, deque, worker) and never a Future's.
+func (f *Future) complete(err error, w *worker) {
 	f.mu.Lock()
 	if f.done.Load() {
 		f.mu.Unlock()
@@ -43,15 +46,22 @@ func (f *Future) complete(err error) {
 	}
 	f.err = err
 	f.done.Store(true)
-	if wt := f.w0; wt != nil {
-		f.w0 = nil
-		wt.deliver(faultpoint.ResumeInject)
+	pushed := false
+	for wt := f.w0; wt != nil; {
+		next := wt.fnext
+		wt.fnext = nil
+		if wt.join && w.rt.cfg.Faults == nil {
+			pushed = wt.continueOn(w) || pushed
+		} else {
+			wt.deliver(faultpoint.ResumeInject)
+		}
+		wt = next
 	}
-	for _, wt := range f.overflow {
-		wt.deliver(faultpoint.ResumeInject)
-	}
-	f.overflow = nil
+	f.w0 = nil
 	f.mu.Unlock()
+	if pushed {
+		w.rt.published()
+	}
 }
 
 // cancelWait implements wakeSource: a scope cancellation dequeues the
@@ -61,16 +71,12 @@ func (f *Future) complete(err error) {
 func (f *Future) cancelWait(wt *waiter, err error) {
 	f.mu.Lock()
 	removed := false
-	if f.w0 == wt {
-		f.w0 = nil
-		removed = true
-	} else {
-		for i, w := range f.overflow {
-			if w == wt {
-				f.overflow = append(f.overflow[:i], f.overflow[i+1:]...)
-				removed = true
-				break
-			}
+	for p := &f.w0; *p != nil; p = &(*p).fnext {
+		if *p == wt {
+			*p = wt.fnext
+			wt.fnext = nil
+			removed = true
+			break
 		}
 	}
 	f.mu.Unlock()
@@ -103,9 +109,10 @@ func (f *Future) Err() error {
 // stole it, and the worker would pop and run exactly it next — the join is
 // a light edge: the caller pops the child and runs it as a function call.
 // Otherwise, in LatencyHiding mode, an Await on an incomplete future
-// suspends the task exactly like a latency operation: the task is paired
-// with the worker's active deque and resumed by the completing task's
-// callback.
+// yields the task without pinning any deque, and the join is still a
+// light edge: the worker that completes the child pushes the task onto
+// its own active deque, so the awaiter continues where its last child
+// finished (Figure 3's join vertex, enabled by its last predecessor).
 //
 // In Blocking mode, the worker first helps — repeatedly popping its own
 // deque and running tasks as function calls (the conventional join
@@ -135,23 +142,16 @@ func (f *Future) AwaitErr(c *Ctx) error {
 	} else if child := c.popUnstolen(f); child != nil {
 		return c.runInline(child)
 	}
-	// Order matters: make the suspension visible on the deque before
-	// registering as a waiter, so a completion racing with this Await sees
-	// a consistent counter when it fires the resume.
-	home := c.waitHome()
+	c.injectFault(faultpoint.Suspend)
 	f.mu.Lock()
 	if f.done.Load() {
 		f.mu.Unlock()
-		home.unsuspend()
 		return f.err
 	}
-	wt := c.beginWait("await", KindFuture, home, f)
+	wt := c.beginWait("await", KindFuture, nil, f)
 	wt.refs.Add(1) // the registration's event reference
-	if f.w0 == nil {
-		f.w0 = wt
-	} else {
-		f.overflow = append(f.overflow, wt)
-	}
+	wt.fnext = f.w0
+	f.w0 = wt
 	f.mu.Unlock()
 	c.armScope(wt)
 	c.finishWait(wt)

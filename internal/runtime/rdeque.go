@@ -58,7 +58,7 @@ func (d *rdeque) suspend() {
 }
 
 // unsuspend reverses a suspend that never committed — the fast path of an
-// Await that found the future already done after marking the suspension.
+// operation that found its channel ready after marking the suspension.
 // A nil home (a Blocking-mode wait, see Ctx.waitHome) counted nothing.
 func (d *rdeque) unsuspend() {
 	if d != nil {
@@ -76,8 +76,8 @@ func (d *rdeque) snapshot() (suspended, resumed int) {
 	return
 }
 
-// addResumed is the resume callback (Figure 3, lines 1-5): called by timer
-// or future-completion goroutines when a suspended task becomes runnable
+// addResumed is the resume callback (Figure 3, lines 1-5): called by timer,
+// channel or external-op goroutines when a suspended task becomes runnable
 // again. It appends the task to the deque's resumed set and registers the
 // deque with its owner. The suspension counter is decremented only after
 // the append is published (see the field comment).

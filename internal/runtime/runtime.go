@@ -11,16 +11,19 @@
 // Two modes implement the paper's comparison:
 //
 //   - LatencyHiding: the LHWS algorithm. Each worker owns a set of deques,
-//     one active at a time. A task that suspends (Latency or Await on an
-//     incomplete Future) is paired with its worker's active deque; when it
-//     resumes, a callback returns it to that deque, and the owner injects
-//     it back at the next scheduling point. Workers with an empty active
-//     deque first switch to another owned ready deque, then steal — per §6,
-//     a steal picks a random victim worker, then one of its active and
-//     ready deques, and takes up to half of that deque's items, oldest
-//     first (DefaultStealBatch). Only heavy edges suspend: an Await on a
-//     child nobody stole — still fresh at the bottom of the awaiter's
-//     deque — pops the child and runs it as a function call.
+//     one active at a time. A task that suspends on a heavy edge (Latency,
+//     a channel, an external completion) is paired with its worker's
+//     active deque; when it resumes, a callback returns it to that deque,
+//     and the owner injects it back at the next scheduling point. Workers
+//     with an empty active deque first switch to another owned ready
+//     deque, then steal — per §6, a steal picks a random victim worker,
+//     then one of its active and ready deques, and takes up to half of
+//     that deque's items, oldest first (DefaultStealBatch). A join is a
+//     light edge: an Await on a child nobody stole — still fresh at the
+//     bottom of the awaiter's deque — pops the child and runs it as a
+//     function call, and any other Await on an incomplete Future yields
+//     without pinning a deque, to be pushed by the child's completer onto
+//     the completer's own active deque.
 //
 //   - Blocking: standard work stealing. Every wait — Latency, Await, a
 //     channel receive, an external completion — holds the worker for its
@@ -152,7 +155,7 @@ type Stats struct {
 	TasksSpawned       int64         // tasks created
 	TasksCanceled      int64         // tasks unwound by cancellation, deadline, or stall
 	TasksPanicked      int64         // tasks that panicked
-	Suspensions        int64         // task suspensions (latency + await + channels + external)
+	Suspensions        int64         // tasks yielded to wait: heavy edges (latency, channels, external) and join waits, which pin no deque
 	Switches           int64         // deque switches
 	StealAttempts      int64         // steal attempts
 	Steals             int64         // successful steals
@@ -209,7 +212,6 @@ func Run(cfg Config, root func(*Ctx)) (*Stats, error) {
 	// reads rootTask.err after the pool drains.
 	rootTask := newTask(rt, funcRunner(root))
 	rootTask.scope = rt.root
-	rt.liveTasks.Add(1)
 	rt.shards[0].tasksSpawned.Add(1)
 	w0 := rt.workers[0]
 	w0.assigned = rootTask
@@ -288,10 +290,9 @@ func Run(cfg Config, root func(*Ctx)) (*Stats, error) {
 
 // runtimeState is the shared state of one Run invocation.
 type runtimeState struct {
-	cfg       Config
-	workers   []*worker
-	root      *cancelScope
-	liveTasks atomic.Int64
+	cfg     Config
+	workers []*worker
+	root    *cancelScope
 	// pendingWakes counts wakeups that are scheduled but not yet
 	// delivered (armed Latency timers, derived-scope deadline timers,
 	// fault-delayed re-injections): a run with pending wakes is waiting,
@@ -409,19 +410,36 @@ type atomicStats struct {
 	MaxDeques     atomic.Int32
 }
 
-// taskDone decrements the live-task count; the task that takes it to zero
-// ends the run, and wakes every parked worker so each sees finished.
-func (rt *runtimeState) taskDone() {
-	if rt.liveTasks.Add(-1) == 0 {
-		rt.wakeAll()
+// live returns how many of the run's tasks were counted unfinished. Spawns
+// and completions are counted on the shard of the worker that made them,
+// so neither writes a run-wide word; the price is that the sum is not one
+// instantaneous read. It is exact at zero all the same. Every shard's
+// tasksDone is summed first, by some instant T, and every tasksSpawned
+// after T. Both counters only grow, so the first sum is at most the
+// run's completions at T and the second at least its spawns at T. A task
+// is counted spawned before it can run, let alone finish, so completions
+// at T never exceed spawns at T. A result of zero therefore means that at
+// T every spawned task had finished; with no task left to spawn one, none
+// ever starts again. (Read the other way round, a spawn and its
+// completion could both fall between the two sums and leave them equal
+// while the spawning parent still runs.)
+func (rt *runtimeState) live() int64 {
+	var n int64
+	for i := range rt.shards {
+		n -= rt.shards[i].tasksDone.Load()
 	}
+	for i := range rt.shards {
+		n += rt.shards[i].tasksSpawned.Load()
+	}
+	return n
 }
 
-// finished reports whether every task of the run has completed. The root
-// task is counted before any worker starts and a child before its parent
-// can finish, so zero is final.
+// finished reports whether every task of the run has completed (see
+// live). The root task is counted before any worker starts, so a run
+// that has not begun is not finished. A worker that sees finished wakes
+// every parked worker before it leaves its loop, so each sees it too.
 func (rt *runtimeState) finished() bool {
-	return rt.liveTasks.Load() == 0
+	return rt.live() == 0
 }
 
 // published is called after work other workers could take has been made

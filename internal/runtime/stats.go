@@ -3,10 +3,10 @@ package runtime
 import "sync/atomic"
 
 // statShard holds one worker's hot scheduler counters. The counters that
-// fire on every scheduling quantum (task run slices, spawns, suspensions,
-// switches, steal attempts) used to live on shared atomics, so every
-// quantum on every worker bounced the same cache line; sharding them
-// per-worker makes each increment a local (usually cache-resident)
+// fire on every scheduling quantum (task run slices, spawns, completions,
+// suspensions, switches, steal attempts) used to live on shared atomics,
+// so every quantum on every worker bounced the same cache line; sharding
+// them per-worker makes each increment a local (usually cache-resident)
 // atomic. Rare counters (cancellations, panics, the deque high-water
 // mark) stay global in atomicStats.
 //
@@ -16,6 +16,7 @@ type statShard struct {
 	tasksRun      atomic.Int64
 	inlineJoins   atomic.Int64 // children run as function calls (Ctx.runInline)
 	tasksSpawned  atomic.Int64
+	tasksDone     atomic.Int64 // lives settled here; with tasksSpawned, the termination test (runtimeState.live)
 	suspensions   atomic.Int64
 	switches      atomic.Int64
 	stealAttempts atomic.Int64
@@ -38,7 +39,7 @@ type statShard struct {
 	// be any goroutine).
 	parks atomic.Int64
 	wakes atomic.Int64
-	_     [128 - 13*8]byte
+	_     [128 - 14*8]byte
 }
 
 // tasksRunTotal sums the run-slice counter across shards; the watchdog

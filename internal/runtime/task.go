@@ -87,6 +87,11 @@ type task struct {
 	// advanced by beginWait and by the (unique) claiming wakeup. See
 	// waiter. Monotonic across pooled lives — never reset.
 	epoch atomic.Uint64
+	// parked is set by the worker once the coroutine has yielded a
+	// suspension and cleared before the next switch-in: a join's
+	// completer may push the task onto its own deque only while it is
+	// set (waiter.continueOn).
+	parked atomic.Bool
 	// wakeErr is set by the claiming waker before re-injection when the
 	// wake is a cancellation abort; the resume handoff publishes it.
 	wakeErr error
@@ -153,7 +158,7 @@ func (t *task) switchIn() reportKind {
 // (main) or as a function call inside its awaiter (runInline): a panic
 // raised in the user function stops here and becomes the returned error.
 func (t *task) body(c *Ctx) (err error) {
-	defer func() { err = t.rt.settle(recover(), c.scope, t.fut) }()
+	defer func() { err = c.t.w.settle(recover(), c.scope, t.fut) }()
 	if inj := t.rt.cfg.Faults; inj != nil {
 		inj.Inject(faultpoint.TaskBody)
 	}
@@ -168,8 +173,10 @@ func (t *task) body(c *Ctx) (err error) {
 // instead of hanging or leaking goroutines. A cancelPanic — the
 // cooperative-cancellation unwind — becomes the life's error without being
 // fatal to the run. Either way the future completes (with the error) so
-// joins unwind, and the life leaves the live-task count.
-func (rt *runtimeState) settle(r any, scope *cancelScope, fut *Future) error {
+// joins unwind, and the life counts as done on w's shard (see finished).
+// w is the worker whose owner role the life's code holds.
+func (w *worker) settle(r any, scope *cancelScope, fut *Future) error {
+	rt := w.rt
 	var err error
 	if r != nil {
 		if cp, ok := r.(cancelPanic); ok {
@@ -189,9 +196,9 @@ func (rt *runtimeState) settle(r any, scope *cancelScope, fut *Future) error {
 		rt.stats.TasksLate.Add(1)
 	}
 	if fut != nil {
-		fut.complete(err)
+		fut.complete(err, w)
 	}
-	rt.taskDone()
+	w.stat.tasksDone.Add(1)
 	return err
 }
 
@@ -272,7 +279,6 @@ func (c *Ctx) spawn(r runner, fut *Future) {
 	child.scope = c.scope
 	child.fut = fut
 	child.fresh = true
-	c.t.rt.liveTasks.Add(1)
 	c.t.w.stat.tasksSpawned.Add(1)
 	// The running task holds the owner role of its worker, so pushing onto
 	// the active deque is owner-side and safe.

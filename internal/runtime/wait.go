@@ -20,11 +20,15 @@ import (
 // been reused for a new life — fail the CAS and fall away harmlessly
 // (shell epochs are never reset; see task).
 //
-// Both modes wait through waiters. They differ in one field: a
-// latency-hiding waiter has a home deque, the task suspends (its worker
-// moves on) and the claim re-injects it there; a Blocking-mode waiter
-// has none, the task's worker stays held in runTask for the wait — the
-// baseline's cost — and the claim hands the task straight back.
+// Both modes wait through waiters, in one of three shapes. A
+// latency-hiding wait on a heavy edge (a timer, a channel, an external
+// completion) has a home deque: the task suspends (its worker moves on)
+// and the claim re-injects it there. A latency-hiding join wait (join
+// set) has no home: the task yields without pinning a deque, and the
+// child's completer continues it on its own worker (continueOn). A
+// Blocking-mode waiter has neither: the task's worker stays held in
+// runTask for the wait — the baseline's cost — and the claim hands the
+// task straight back.
 //
 // Waiters are pooled. Recycling is reference-counted: refs counts the
 // parties that may still dereference the waiter — the suspending task
@@ -51,9 +55,13 @@ type waiter struct {
 	scope      *cancelScope
 	t          *task
 	epoch      uint64
-	home       *rdeque          // nil in Blocking mode
+	home       *rdeque          // nil in Blocking mode and for a join
 	tm         timerwheel.Timer // the Latency timer, armed in place
 	timed      bool             // tm is armed for this suspension
+	join       bool             // a latency-hiding join wait (see continueOn)
+	// fnext links the waiter into its Future's waiter list (guarded by
+	// the Future's mu).
+	fnext *waiter
 	// src, when non-nil, is the queue the waiter is parked on (a Future
 	// or a Chan); the cancellation abort asks it to dequeue the waiter
 	// before waking it.
@@ -84,11 +92,12 @@ type wakeSource interface {
 	cancelWait(wt *waiter, err error)
 }
 
-// waitHome is the task side of entering a wait: it runs the Suspend fault
-// point and returns the deque the task will resume to — the worker's
-// active deque, its suspension counted — or nil in Blocking mode, where
-// the task keeps its worker for the wait. This is where a wait's mode is
-// decided: beginWait, wake and finishWait key off the nil home.
+// waitHome is the task side of entering a wait on a heavy edge: it runs
+// the Suspend fault point and returns the deque the task will resume to —
+// the worker's active deque, its suspension counted — or nil in Blocking
+// mode, where the task keeps its worker for the wait. A join wait takes no
+// home in either mode (Future.AwaitErr); beginWait tells the two nil
+// homes apart by the run's mode.
 func (c *Ctx) waitHome() *rdeque {
 	c.injectFault(faultpoint.Suspend)
 	if c.t.rt.cfg.Mode == Blocking {
@@ -100,9 +109,10 @@ func (c *Ctx) waitHome() *rdeque {
 }
 
 // beginWait opens a wait of c's task: it advances the task's epoch (odd =
-// waiting) and stamps the waiter with its home deque (from waitHome) and
-// what the watchdog reports (site, kind, start time, worker). It runs
-// task-side, before the waiter is published to any wakeup source.
+// waiting) and stamps the waiter with its home deque (from waitHome, or
+// nil for a join) and what the watchdog reports (site, kind, start time,
+// worker). It runs task-side, before the waiter is published to any
+// wakeup source.
 //
 // It is a Ctx method because the wait belongs to the calling handle's
 // scope, not the task's spawn scope: armScope registers it there, and a
@@ -124,6 +134,7 @@ func (c *Ctx) beginWait(site string, kind WaitKind, home *rdeque, src wakeSource
 	wt.epoch = e
 	wt.home = home
 	wt.timed = false
+	wt.join = home == nil && t.rt.cfg.Mode != Blocking
 	wt.src = src
 	wt.ext = nil
 	wt.kind = kind
@@ -133,7 +144,16 @@ func (c *Ctx) beginWait(site string, kind WaitKind, home *rdeque, src wakeSource
 	wt.extN, wt.extErr = 0, nil
 	wt.refs.Store(2)
 	if home == nil {
-		return wt // Blocking mode: the worker waits too, so nothing suspends
+		// Blocking mode, where the worker waits too and nothing suspends;
+		// or a join, which yields but pins no deque and resumes wherever
+		// its child completes. The child was pushed with the scope's
+		// target noted on its deque (spawn), the deque its completer runs
+		// from or whose marker a thief migrated, so a join has no target
+		// left to pin.
+		if wt.join {
+			t.w.stat.suspensions.Add(1)
+		}
+		return wt
 	}
 	// A suspending task pins its target to the home deque it will resume
 	// to, so deadline-aware selection keeps following the request across
@@ -161,17 +181,18 @@ func (wt *waiter) release() {
 }
 
 // wake claims the wait and resumes the task: onto its home deque's
-// resumed set, or — in Blocking mode, with no home — straight back on
+// resumed set; for a join, onto the join list of the worker it yielded to
+// (the slow path of continueOn); or — in Blocking mode — straight back on
 // the task's own resume channel, whose one slot is empty while the task
 // holds its worker. abortErr non-nil marks a cancellation wake: the task
 // will unwind with that error instead of continuing its operation.
 // Returns false if another wakeup already claimed this wait. The caller
 // must hold a reference; wake itself does not release one.
 func (wt *waiter) wake(abortErr error) bool {
-	t := wt.t
-	if !t.epoch.CompareAndSwap(wt.epoch, wt.epoch+1) {
+	if !wt.claim() {
 		return false
 	}
+	t := wt.t
 	// The claim is won: this goroutine is the unique resumer. Writes
 	// below are published to the task by the resume handoff chain: the
 	// home deque's mutex, then the deque item, then the coroutine switch
@@ -185,12 +206,46 @@ func (wt *waiter) wake(abortErr error) bool {
 		// may still be writing them, and the unwinding task never looks.
 		t.extN, t.extErr = wt.extN, wt.extErr
 	}
-	if wt.home == nil {
+	switch {
+	case wt.home != nil:
+		wt.home.addResumed(t)
+	case wt.join:
+		t.rt.workers[wt.worker].addJoined(t)
+	default:
 		t.resume <- t.w
-		return true
 	}
-	wt.home.addResumed(t)
 	return true
+}
+
+// claim advances the task's epoch past this wait; exactly one of the
+// wait's wakeups wins it.
+func (wt *waiter) claim() bool {
+	return wt.t.epoch.CompareAndSwap(wt.epoch, wt.epoch+1)
+}
+
+// continueOn is the completion of a join wait, run by the child's
+// completer, which holds w's owner role: the light in-edge of Figure 3's
+// join vertex. If it wins the claim and the task has already yielded
+// (task.parked), the task's own node goes onto w's active deque, so the
+// awaiter continues on the worker that finished its child, and continueOn
+// reports the push. A task that has not yielded yet must not be pushed:
+// another worker could switch into its coroutine while it is still
+// running. It takes the slow path instead, the join list of the worker it
+// is yielding to, which drains it only after the yield. It consumes the
+// caller's event reference.
+func (wt *waiter) continueOn(w *worker) bool {
+	pushed := false
+	if wt.claim() {
+		t := wt.t
+		if t.parked.Load() {
+			w.active.q.PushBottom(w.newTaskNode(t))
+			pushed = true
+		} else {
+			w.rt.workers[wt.worker].addJoined(t)
+		}
+	}
+	wt.release()
+	return pushed
 }
 
 // abortWait is the cancellation abort: it stops a pending Latency timer
@@ -276,7 +331,7 @@ func deliverDelayed(arg any) {
 // wait — and then deregisters the wait from the scope, releases the
 // task's references, and unwinds if the wake was an abort.
 func (c *Ctx) finishWait(wt *waiter) {
-	c.yield(wt.home != nil)
+	c.yield(wt.home != nil || wt.join)
 	if c.scope.removeWait(wt) {
 		// Deregistered before the scope fired: the scope's abort will
 		// never run, so its reference is released here. If removeWait

@@ -27,7 +27,9 @@ type StallWait struct {
 	// Age is how long the task had been suspended when the stall was
 	// declared.
 	Age time.Duration
-	// Worker is the worker that owned the task's deque at suspension.
+	// Worker is the worker the task suspended from: the owner of its
+	// deque, for a wait that has one. A join wait ("await" in
+	// LatencyHiding mode) pins no deque, and its Deque fields are zero.
 	Worker int
 	// DequeLen is the number of runnable tasks on the owning deque.
 	DequeLen int
@@ -118,7 +120,7 @@ func (rt *runtimeState) watchdog(stop <-chan struct{}) {
 		progressed := run != lastRun ||
 			rt.runningTotal() > 0 ||
 			rt.pendingWakes.Load() > 0 ||
-			rt.liveTasks.Load() == 0
+			rt.finished()
 		lastRun = run
 		if progressed {
 			quiet = 0
@@ -137,7 +139,7 @@ func (rt *runtimeState) watchdog(stop <-chan struct{}) {
 // stallError snapshots the open waits and the workers' parking state
 // into a diagnostic. It runs before the root cancel wakes anyone.
 func (rt *runtimeState) stallError(quiet time.Duration) *StallError {
-	e := &StallError{NoProgress: quiet, Live: rt.liveTasks.Load()}
+	e := &StallError{NoProgress: quiet, Live: rt.live()}
 	for _, w := range rt.workers {
 		if w.parked.Load() {
 			e.ParkedWorkers++
@@ -145,6 +147,7 @@ func (rt *runtimeState) stallError(quiet time.Duration) *StallError {
 		e.QueuedDeques += w.queuedDeques()
 		w.mu.Lock()
 		pending := append([]*rdeque(nil), w.resumedDq...)
+		e.PendingResumed += len(w.joined)
 		w.mu.Unlock()
 		for _, d := range pending {
 			_, resumed := d.snapshot()
@@ -167,7 +170,9 @@ func (rt *runtimeState) stallError(quiet time.Duration) *StallError {
 		for wt := s.waits; wt != nil; wt = wt.next {
 			// Skip Blocking-mode waits (no home deque: their worker counts as
 			// running), and waits already claimed whose task has not run yet.
-			if wt.home == nil || wt.t.epoch.Load() != wt.epoch {
+			// A join wait has no home deque either, but its task is
+			// suspended: it is reported, with no deque snapshot.
+			if (wt.home == nil && !wt.join) || wt.t.epoch.Load() != wt.epoch {
 				continue
 			}
 			waits = append(waits, StallWait{Site: wt.site, Kind: wt.kind, Age: now.Sub(wt.since), Worker: wt.worker})
@@ -176,6 +181,9 @@ func (rt *runtimeState) stallError(quiet time.Duration) *StallError {
 		s.mu.Unlock()
 	}
 	for i, home := range homes {
+		if home == nil {
+			continue
+		}
 		waits[i].DequeLen = home.q.Len()
 		waits[i].DequeSuspended, waits[i].DequeResumed = home.snapshot()
 	}

@@ -22,15 +22,21 @@ type worker struct {
 	stealBuf []deque.Item
 
 	// mu guards the fields thieves and resume callbacks touch: the active
-	// pointer, the ready-deque list, and the resumed-deque list.
+	// pointer, the ready-deque list, the resumed-deque list and the join
+	// list.
 	mu        sync.Mutex
 	active    *rdeque
 	ready     []*rdeque
 	resumedDq []*rdeque
-	// resumedPending mirrors len(resumedDq) > 0 (written under mu, read
-	// without it): drainResumed skips the lock while nothing has resumed,
-	// and a join runs its child as a call only while nothing waits for
-	// injection (see Ctx.popUnstolen).
+	// joined holds join waiters that yielded to this worker and were
+	// woken by the slow path of waiter.continueOn (completion before the
+	// yield, a cancel abort, any run with faults injected); drainResumed
+	// pushes them onto the active deque.
+	joined []*task
+	// resumedPending mirrors len(resumedDq)+len(joined) > 0 (written under
+	// mu, read without it): drainResumed skips the lock while nothing has
+	// resumed, and a join runs its child as a call only while nothing
+	// waits for injection (see Ctx.popUnstolen).
 	resumedPending atomic.Bool
 
 	assigned     *task
@@ -54,6 +60,7 @@ type worker struct {
 	taskCache  []*task
 	sliceCache [][]*task
 	drainBuf   []*rdeque // spare resumedDq buffer, ping-ponged by drainResumed
+	joinBuf    []*task   // spare joined buffer, likewise
 
 	// shells lists every task shell whose coroutine this worker created
 	// (owner-role access only), wherever the shell is now — in a free
@@ -112,6 +119,7 @@ func (w *worker) loop() {
 			continue
 		}
 		if w.rt.finished() {
+			w.rt.wakeAll()
 			return
 		}
 		w.idle()
@@ -124,15 +132,21 @@ func (w *worker) loop() {
 // instead (Ctx.runInline). The running counter brackets the switch so the
 // watchdog can tell an actively executing run from a stalled one. A
 // finished shell is returned to the task free list here: the coroutine
-// switch back orders every task-side write before the recycle.
+// switch back orders every task-side write before the recycle. A
+// suspended task is marked parked, the last access here: from then on a
+// join's completer may push it onto another deque.
 func (w *worker) runTask(t *task) reportKind {
 	w.stat.tasksRun.Add(1)
 	w.stat.running.Add(1)
 	t.fresh = false
 	t.w = w
+	t.parked.Store(false)
 	r := t.switchIn()
 	w.stat.running.Add(-1)
-	if r == reportDone && t.recycle {
+	switch {
+	case r == reportSuspended:
+		t.parked.Store(true)
+	case t.recycle:
 		w.releaseTask(t)
 	}
 	return r
@@ -143,9 +157,11 @@ func (w *worker) runTask(t *task) reportKind {
 // deque item — a pfor-tree node over the batch (see pfor.go) — and mark
 // non-active deques ready. Injection is O(1) per deque in the batch size;
 // the tree splits lazily as it is popped or stolen. A batch of one skips
-// the tree and pushes the task directly. An injection of more than the
-// one task this worker runs next is work for a parked worker. It runs on
-// the worker-loop goroutine, which owns every deque it drains.
+// the tree and pushes the task directly. Join waiters on the worker's
+// join list have no home: they go onto the active deque (a fresh one if
+// there is none), one singleton each. An injection of more than the one
+// task this worker runs next is work for a parked worker. It runs on the
+// worker-loop goroutine, which owns every deque it drains.
 func (w *worker) drainResumed() {
 	if !w.resumedPending.Load() {
 		// A registration racing this load is seen by the next iteration,
@@ -156,6 +172,9 @@ func (w *worker) drainResumed() {
 	dqs := w.resumedDq
 	w.resumedDq = w.drainBuf
 	w.drainBuf = nil
+	joined := w.joined
+	w.joined = w.joinBuf
+	w.joinBuf = nil
 	w.resumedPending.Store(false)
 	w.mu.Unlock()
 	injected := 0
@@ -182,6 +201,15 @@ func (w *worker) drainResumed() {
 		}
 	}
 	w.drainBuf = dqs[:0]
+	if len(joined) > 0 && w.active == nil {
+		w.adoptDeque(w.getRdeque())
+	}
+	for i, t := range joined {
+		joined[i] = nil
+		w.active.q.PushBottom(w.newTaskNode(t))
+	}
+	injected += len(joined)
+	w.joinBuf = joined[:0]
 	if injected > 1 {
 		w.rt.published()
 	}
@@ -195,6 +223,20 @@ func (w *worker) drainResumed() {
 func (w *worker) noteResumedDeque(d *rdeque) {
 	w.mu.Lock()
 	w.resumedDq = append(w.resumedDq, d)
+	w.resumedPending.Store(true)
+	w.mu.Unlock()
+	if w.parked.Load() {
+		w.rt.wake(w, false)
+	}
+}
+
+// addJoined queues a join waiter that yielded (or is yielding) to w on
+// w's join list, the slow path of waiter.continueOn, and wakes w if it is
+// parked: only w may push the task, since only w knows when the task's
+// coroutine has yielded. Publish first, look second, as above.
+func (w *worker) addJoined(t *task) {
+	w.mu.Lock()
+	w.joined = append(w.joined, t)
 	w.resumedPending.Store(true)
 	w.mu.Unlock()
 	if w.parked.Load() {
@@ -464,11 +506,12 @@ func (w *worker) foundWork() {
 //  3. block on its one-slot semaphore only if all of them were empty.
 //
 // Wakers do the mirror image — publish the work, then look at parked /
-// nidle / nsearching (noteResumedDeque, published, taskDone, a root
-// cancel). Go atomics are sequentially consistent, so an announcement and
-// a publication cannot both miss each other: either the re-check sees the
-// work, or the waker sees the announcement (or a searcher that has not
-// yet left nsearching and will therefore re-check after the publication).
+// nidle / nsearching (noteResumedDeque, addJoined, published, the end of
+// the run, a root cancel). Go atomics are sequentially consistent, so an
+// announcement and a publication cannot both miss each other: either the
+// re-check sees the work, or the waker sees the announcement (or a
+// searcher that has not yet left nsearching and will therefore re-check
+// after the publication).
 //
 // There is no spin before the announcement: the re-check is a
 // deterministic sweep that costs about what one more random probe would,
