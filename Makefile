@@ -38,9 +38,12 @@ race-core:
 # coroutine tests: a shell's coroutine is switched into by one worker
 # goroutine and back in by another, and stopped by Run from a third. The
 # deque's concurrent tests are the evidence for batched steals, whose
-# single-item pops other thieves and the owner may interleave.
+# single-item pops other thieves and the owner may interleave. The join
+# and drain tests cross the resume inbox, which every wake goes through:
+# wakers publish to it from timer, completion and completer goroutines
+# while its owner drains it.
 race-repeat:
-	$(GO) test -race -count=5 -run 'Pool|Recycled|TestAllocs|Cancel|Watchdog|Blocking|Coroutine' ./internal/runtime/
+	$(GO) test -race -count=5 -run 'Pool|Recycled|TestAllocs|Cancel|Watchdog|Blocking|Coroutine|Join|Drain' ./internal/runtime/
 	$(GO) test -race -count=5 -run Concurrent ./internal/deque/
 
 vet:

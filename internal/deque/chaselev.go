@@ -168,5 +168,3 @@ func (d *ChaseLev) Len() int {
 	}
 	return int(n)
 }
-
-var _ Deque = (*ChaseLev)(nil)

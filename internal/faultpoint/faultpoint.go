@@ -41,10 +41,10 @@ const (
 	// task at the suspension site.
 	Suspend
 	// ResumeInject is the resume wakeup that returns a suspended task
-	// to its owning deque (timer fire, future completion — Figure 3
-	// lines 1-5; a join waiter has no deque and goes to its worker's
-	// join list); Drop loses the wakeup, Delay defers it, Dup delivers
-	// it twice.
+	// to the resume inbox of its deque's owner (timer fire, future
+	// completion — Figure 3 lines 1-5; a join waiter has no deque and
+	// goes to the inbox of the worker it yielded to); Drop loses the
+	// wakeup, Delay defers it, Dup delivers it twice.
 	ResumeInject
 	// ChanWakeup is the channel-handoff wakeup (sender resuming a
 	// suspended receiver, receiver admitting a suspended sender); same
@@ -58,8 +58,8 @@ const (
 	// actions as ResumeInject. Exercises the path where wakeups originate
 	// outside the scheduler entirely.
 	PollComplete
-	// WorkerWake is the wake of a parked worker (the owner of a deque
-	// whose resumed set just became non-empty, or one idle worker when
+	// WorkerWake is the wake of a parked worker (one whose resume inbox
+	// just received a task, or one idle worker when
 	// stealable work is published); same actions as ResumeInject. A lost
 	// worker wake strands work only a sleeping worker can reach, so Drop
 	// must surface as a watchdog stall, never a hang.

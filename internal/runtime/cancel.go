@@ -169,7 +169,7 @@ func (s *cancelScope) cancel(err error) bool {
 		k.cancel(err)
 	}
 	if s.rt != nil && s == s.rt.root {
-		// Every abort above has published its task to a resumed set; a
+		// Every abort above has published its task to a resume inbox; a
 		// parked owner whose wake was lost must still come and run it.
 		s.rt.wakeAll()
 	}

@@ -13,7 +13,7 @@ import (
 // an Await that cannot run its child as a call yields without pinning a
 // deque, and the child's completer pushes the awaiter onto its own active
 // deque, or — when the awaiter has not yielded yet, the wait is aborted,
-// or faults are injected — onto the join list of the worker the awaiter
+// or faults are injected — onto the resume inbox of the worker the awaiter
 // yielded to.
 
 // spawnFib is fib over Spawn/Await: the join is on a *Future, the path
@@ -72,7 +72,7 @@ func waiterCount(f *Future) int {
 // has registered, so its completion often lands before the awaiter's
 // coroutine has yielded. The completer must not push such an awaiter (a
 // second switch-in into a running coroutine panics inside iter.Pull); it
-// goes onto the join list instead. Every body runs exactly once.
+// goes onto its worker's resume inbox instead. Every body runs exactly once.
 func TestJoinCompletesBeforeYield(t *testing.T) {
 	const rounds = 300
 	var bodies, resumes atomic.Int64

@@ -31,16 +31,12 @@ type Load struct {
 }
 
 // LoadSignal samples the runtime's current load. It is safe to call from
-// any task at any time; the cost is O(P) leaf-mutex acquisitions.
+// any task at any time; the cost is P leaf-mutex acquisitions, one per
+// worker, and no allocation.
 func (c *Ctx) LoadSignal() Load { return c.t.rt.loadSignal() }
 
 func (rt *runtimeState) loadSignal() Load {
 	var ld Load
-	// Registered deques are few (one per deque whose resumed set is
-	// non-empty), so the copy normally stays in this stack buffer: the
-	// admission path samples once per request and must not allocate.
-	var buf [16]*rdeque
-	resumedDq := buf[:0]
 	for _, w := range rt.workers {
 		w.mu.Lock()
 		if a := w.active; a != nil {
@@ -49,16 +45,8 @@ func (rt *runtimeState) loadSignal() Load {
 		for _, d := range w.ready {
 			ld.ReadyTasks += d.q.Len()
 		}
-		resumedDq = append(resumedDq, w.resumedDq...)
+		ld.ReadyTasks += len(w.resumed)
 		w.mu.Unlock()
-	}
-	// Count pending resumptions outside the worker locks (each deque's
-	// resumed list has its own leaf mutex). Entries are unique: a deque
-	// registers with its owner once per resumed batch.
-	for _, d := range resumedDq {
-		d.mu.Lock()
-		ld.ReadyTasks += len(d.resumed)
-		d.mu.Unlock()
 	}
 	ld.Running = int(rt.runningTotal())
 	if p := rt.cfg.Workers; p > 0 {

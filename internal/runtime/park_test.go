@@ -9,7 +9,7 @@ import (
 )
 
 // Count-based tests of the park/wake handshake (worker.idle, published,
-// noteResumedDeque). They assert on Stats counters, not on wall time,
+// addResumed). They assert on Stats counters, not on wall time,
 // except where the property is itself a latency.
 
 func processCPU(t *testing.T) time.Duration {

@@ -6,10 +6,10 @@ import (
 	"lhws/internal/deque"
 )
 
-// Bulk resume injection (Figure 3, lines 7-14). When a worker drains a
-// deque's resumed set it does not push the tasks one by one: it wraps the
-// whole batch in a pfor tree node — "a parallel-for over the resumed
-// vertices" in the paper's terms — and pushes that single item. The tree
+// Bulk resume injection (Figure 3, lines 7-14). When a worker drains its
+// resume inbox it does not push a deque's woken tasks one by one: it
+// wraps the whole batch in a pfor tree node — "a parallel-for over the
+// resumed vertices" in the paper's terms — and pushes that single item. The tree
 // is materialized lazily: whoever pops (or steals) a node splits off its
 // left halves as further nodes and executes the right-most task. This
 // keeps injection O(1) in the batch size on the hot path and gives
@@ -57,8 +57,8 @@ func (w *worker) newTaskNode(t *task) *pforNode {
 	return nd
 }
 
-// newBatchNode wraps a drained resumed set in a batch and returns its
-// root node. Owner-role access only. ts must be non-empty; ownership of
+// newBatchNode wraps one home deque's woken tasks in a batch and returns
+// its root node. Owner-role access only. ts must be non-empty; ownership of
 // the slice transfers to the batch.
 func (w *worker) newBatchNode(ts []*task) *pforNode {
 	b := w.getBatch()

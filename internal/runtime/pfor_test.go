@@ -157,3 +157,102 @@ func TestPforBatchRecycledAfterLastExtract(t *testing.T) {
 		t.Fatalf("recycled slice has len=%d cap=%d, want empty with cap>=%d", len(s), cap(s), n)
 	}
 }
+
+// TestDrainGroupsByHome drives one drain of a resume inbox by hand: wakes
+// for two home deques — the active one, and a retired one abandoned while
+// its tasks were suspended — interleaved with one join woken on the slow
+// path of continueOn. Each home must get exactly one item, its woken tasks
+// in wake order; the retired home must go onto the ready list; the join
+// must be a singleton pushed last onto the active deque; and both
+// suspension counters must be back at 0. Before the drain, a deque whose
+// only tasks are woken but still on the inbox must survive retireActive.
+func TestDrainGroupsByHome(t *testing.T) {
+	w := harnessWorkers(1)[0]
+	suspendOn := func(home *rdeque) *waiter {
+		tk := w.acquireTask(funcRunner(func(*Ctx) {}))
+		tk.w = w
+		if home != nil {
+			home.suspend()
+		}
+		return (&Ctx{t: tk}).beginWait("drain-test", KindOther, home, nil)
+	}
+
+	retired := w.active
+	r1, r2 := suspendOn(retired), suspendOn(retired)
+	w.retireActive()
+	if w.active != nil || w.live != 1 {
+		t.Fatalf("retireActive dropped a deque with suspended tasks (active=%p live=%d)", w.active, w.live)
+	}
+	w.adoptDeque(w.getRdeque())
+	active := w.active
+	a1, a2 := suspendOn(active), suspendOn(active)
+	j := suspendOn(nil)
+	if !j.join {
+		t.Fatal("a wait with no home in LatencyHiding mode is not a join")
+	}
+
+	r1.wake(nil)
+	a1.wake(nil)
+	j.refs.Add(1) // the completer's event reference, consumed by continueOn
+	if j.continueOn(w) {
+		t.Fatal("continueOn pushed a join waiter whose task has not yielded")
+	}
+	r2.wake(nil)
+	a2.wake(nil)
+	if n := len(w.resumed); n != 5 || !w.resumedPending.Load() {
+		t.Fatalf("inbox holds %d wakes (pending %v), want 5", n, w.resumedPending.Load())
+	}
+
+	// Every task of the active deque is woken and its items are still on
+	// the inbox: the deque must not be recycled.
+	live := w.live
+	w.retireActive()
+	if w.live != live || active.owner != w {
+		t.Fatal("retireActive recycled a deque whose woken tasks are still on the inbox")
+	}
+	w.addReady(active)
+	if !w.trySwitch() || w.active != active {
+		t.Fatal("could not switch back to the kept deque")
+	}
+
+	w.drainResumed()
+
+	if n := len(w.resumed); n != 0 || w.resumedPending.Load() {
+		t.Errorf("inbox holds %d wakes after the drain (pending %v), want none", n, w.resumedPending.Load())
+	}
+	if !retired.inReadySet || len(w.ready) != 1 || w.ready[0] != retired {
+		t.Errorf("the retired home is not the one ready deque (ready=%v)", w.ready)
+	}
+	if n := active.q.Len(); n != 2 {
+		t.Fatalf("active deque holds %d items, want the batch and the join", n)
+	}
+	it, _ := active.q.PopBottom()
+	if nd := it.(*pforNode); nd.t != j.t {
+		t.Error("the bottom item of the active deque is not the join's singleton")
+	}
+	checkBatch := func(name string, d *rdeque, want ...*waiter) {
+		t.Helper()
+		if n := d.q.Len(); n != 1 {
+			t.Fatalf("%s home holds %d items, want one batch", name, n)
+		}
+		it, _ := d.q.PopBottom()
+		nd := it.(*pforNode)
+		if nd.t != nil || nd.b == nil || int(nd.hi-nd.lo) != len(want) {
+			t.Fatalf("%s home's item is not a batch of %d", name, len(want))
+		}
+		for i, wt := range want {
+			if nd.b.tasks[i] != wt.t {
+				t.Errorf("%s batch entry %d is not the task woken %d-th", name, i, i+1)
+			}
+		}
+	}
+	checkBatch("active", active, a1, a2)
+	checkBatch("retired", retired, r1, r2)
+	// Both deques are empty now, so idle reads their suspension counters.
+	if !retired.idle() || !active.idle() {
+		t.Error("a suspension counter is not back at 0 after the drain")
+	}
+	if b, n := w.stat.resumeBatches.Load(), w.stat.resumeBatchTasks.Load(); b != 2 || n != 4 {
+		t.Errorf("resumeBatches=%d resumeBatchTasks=%d, want 2 and 4", b, n)
+	}
+}

@@ -12,9 +12,11 @@ import "sync"
 //     A pool scales retention with demand (thousands of suspended tasks
 //     at high connection counts) and lets the GC trim it when load falls;
 //     objects move between workers through it.
-//   - worker-local free list only: resumed-set slices (sliceCache).
+//   - worker-local free list only: the per-home task slices drainResumed
+//     groups its inbox into, which become pfor batches (sliceCache).
 //     Boxing a slice into a sync.Pool allocates its interface header each
-//     round trip, which is the allocation the cache avoids.
+//     round trip, which is the allocation the cache avoids. The inbox
+//     itself is one buffer per worker, ping-ponged (worker.inboxBuf).
 //   - worker-local free list in front of the pool: task shells. A shell
 //     is its struct, its resume channel and its coroutine (a parked
 //     goroutine between lives); the local list keeps the hot shells (and
@@ -58,10 +60,10 @@ import "sync"
 //     trusted (see Future.nd).
 const (
 	taskCacheCap = 64
-	// sliceCacheCap is deliberately large: resumed-set buffers are held
-	// by in-flight injected batches until fully extracted, so with C
+	// sliceCacheCap is deliberately large: per-home batch buffers are
+	// held by in-flight injected batches until fully extracted, so with C
 	// connections suspended the working set is ~C tiny slices. A dry
-	// cache makes every resume append allocate. At 3 words per entry a
+	// cache makes every grouped resume allocate. At 3 words per entry a
 	// deep cap costs ~25KiB per worker.
 	sliceCacheCap = 1024
 )
@@ -145,8 +147,8 @@ func (w *worker) putRdeque(d *rdeque) {
 	w.rt.pools.rdeques.Put(d)
 }
 
-// getSlice returns an empty []*task with recycled capacity for a deque's
-// resumed set. Owner-role access only.
+// getSlice returns an empty []*task with recycled capacity for one home
+// deque's share of a drained inbox. Owner-role access only.
 func (w *worker) getSlice() []*task {
 	if n := len(w.sliceCache); n > 0 {
 		s := w.sliceCache[n-1]
@@ -157,7 +159,7 @@ func (w *worker) getSlice() []*task {
 	return nil
 }
 
-// putSlice recycles a drained resumed-set buffer; entries must already be
+// putSlice recycles a drained batch buffer; entries must already be
 // nil'd by the consumer.
 func (w *worker) putSlice(s []*task) {
 	if s == nil || cap(s) == 0 {

@@ -1,36 +1,41 @@
 package runtime
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"lhws/internal/deque"
 )
 
 // rdeque is a worker-owned deque with the suspension bookkeeping of
-// Table 1: a lock-free Chase–Lev deque of tasks plus a suspension counter
-// and the set of resumed tasks awaiting re-injection.
+// Table 1: a lock-free Chase–Lev deque of tasks plus a suspension counter.
+// Its resumed set lives on the owner's inbox (worker.resumed), grouped by
+// home deque only when the owner drains it.
 //
 // Concurrency contract: items are accessed through the lock-free deque
 // (owner-side push/pop by whichever goroutine currently holds the owner
 // role — the worker loop or the task it is running — and PopTop by any
-// thief). suspendCtr, resumed, and inResumedSet are guarded by mu because
-// resume callbacks fire on timer and completer goroutines.
+// thief). Everything else here but the target marker is the owner role's:
+// wakers never touch a deque, they publish to the owner's inbox.
 type rdeque struct {
 	q     *deque.ChaseLev
 	owner *worker
 
 	// inReadySet marks membership in the owner's ready list so addReady is
-	// O(1) instead of scanning. Guarded by the owner's mu (not d.mu),
-	// because it mirrors state of the owner's ready slice.
+	// O(1) instead of scanning. Guarded by the owner's mu, because it
+	// mirrors state of the owner's ready slice.
 	inReadySet bool
 
-	// suspendCtr is atomic (not under mu) so the suspend/unsuspend fast
-	// paths — two per parked task — touch no lock. addResumed decrements
-	// it only AFTER publishing the task to resumed, so an observer that
-	// reads suspendCtr == 0 and then finds resumed empty under mu cannot
-	// be missing an in-flight resumption (see idle).
+	// suspendCtr counts the tasks of this deque that suspended and have
+	// not been pushed back yet: the suspending task increments it and the
+	// owner's drain decrements it when it re-pushes the task, both in the
+	// owner role. A woken task still on the inbox therefore keeps the deque
+	// from being recycled (see idle). It is atomic only because the
+	// watchdog reads it.
 	suspendCtr atomic.Int64
+
+	// woken collects this deque's tasks while the owner's drain groups its
+	// inbox by home (owner-role access only; nil outside drainResumed).
+	woken []*task
 
 	// targetNs is the earliest latency target (UnixNano; 0 = none) of any
 	// task spawned onto or suspended from this deque, maintained by
@@ -42,10 +47,6 @@ type rdeque struct {
 	// idempotent cancel of an already-finished scope.
 	targetNs    atomic.Int64
 	targetScope atomic.Pointer[cancelScope]
-
-	mu           sync.Mutex
-	resumed      []*task
-	inResumedSet bool
 }
 
 func newRdeque(owner *worker) *rdeque {
@@ -64,49 +65,6 @@ func (d *rdeque) unsuspend() {
 	if d != nil {
 		d.suspendCtr.Add(-1)
 	}
-}
-
-// snapshot reads the suspension counter and pending-resume count for
-// watchdog diagnostics.
-func (d *rdeque) snapshot() (suspended, resumed int) {
-	suspended = int(d.suspendCtr.Load())
-	d.mu.Lock()
-	resumed = len(d.resumed)
-	d.mu.Unlock()
-	return
-}
-
-// addResumed is the resume callback (Figure 3, lines 1-5): called by timer,
-// channel or external-op goroutines when a suspended task becomes runnable
-// again. It appends the task to the deque's resumed set and registers the
-// deque with its owner. The suspension counter is decremented only after
-// the append is published (see the field comment).
-func (d *rdeque) addResumed(t *task) {
-	d.mu.Lock()
-	d.resumed = append(d.resumed, t)
-	first := !d.inResumedSet
-	if first {
-		d.inResumedSet = true
-	}
-	d.mu.Unlock()
-	d.suspendCtr.Add(-1)
-	if first {
-		d.owner.noteResumedDeque(d)
-	}
-}
-
-// takeResumed removes and returns the resumed set, clearing the
-// registration flag. Called by the owner when injecting resumed tasks.
-// spare (possibly nil) becomes the deque's next resumed buffer, so the
-// owner can ping-pong recycled buffers through the resume path instead of
-// re-growing a fresh slice every storm.
-func (d *rdeque) takeResumed(spare []*task) []*task {
-	d.mu.Lock()
-	ts := d.resumed
-	d.resumed = spare
-	d.inResumedSet = false
-	d.mu.Unlock()
-	return ts
 }
 
 // noteTarget records that work targeting tgt (UnixNano, non-zero) lives
@@ -167,18 +125,8 @@ func (d *rdeque) clearBlownTarget(rt *runtimeState, tgt int64) {
 	}
 }
 
-// idle reports whether the deque holds no items, no suspended tasks, and
-// no pending resumed tasks — i.e. it can be dropped.
+// idle reports whether the deque holds no items and no suspended or
+// woken-but-not-re-pushed tasks — i.e. it can be dropped. Owner role only.
 func (d *rdeque) idle() bool {
-	// Order matters: read suspendCtr before the resumed set. A resumption
-	// in flight decrements the counter only after appending to resumed,
-	// so counter == 0 first and resumed empty second cannot both hold
-	// around a missed resumption.
-	if d.suspendCtr.Load() != 0 {
-		return false
-	}
-	d.mu.Lock()
-	ok := len(d.resumed) == 0 && !d.inResumedSet
-	d.mu.Unlock()
-	return ok && d.q.Empty()
+	return d.suspendCtr.Load() == 0 && d.q.Empty()
 }

@@ -13,8 +13,9 @@
 //   - LatencyHiding: the LHWS algorithm. Each worker owns a set of deques,
 //     one active at a time. A task that suspends on a heavy edge (Latency,
 //     a channel, an external completion) is paired with its worker's
-//     active deque; when it resumes, a callback returns it to that deque,
-//     and the owner injects it back at the next scheduling point. Workers
+//     active deque; when it resumes, a callback puts it on that worker's
+//     resume inbox, and at the next scheduling point the owner injects the
+//     inbox back, one item per home deque. Workers
 //     with an empty active deque first switch to another owned ready
 //     deque, then steal — per §6, a steal picks a random victim worker,
 //     then one of its active and ready deques, and takes up to half of
@@ -23,7 +24,8 @@
 //     bottom of the awaiter's deque — pops the child and runs it as a
 //     function call, and any other Await on an incomplete Future yields
 //     without pinning a deque, to be pushed by the child's completer onto
-//     the completer's own active deque.
+//     the completer's own active deque (or, if the awaiter has not yielded
+//     yet, onto its own worker's inbox).
 //
 //   - Blocking: standard work stealing. Every wait — Latency, Await, a
 //     channel receive, an external completion — holds the worker for its
@@ -470,7 +472,7 @@ func (rt *runtimeState) wakeOne() {
 }
 
 // wake is the single worker-wake function of the run's normal paths: the
-// owner wake of noteResumedDeque and wakeOne both end here, and so does
+// owner wake of addResumed and wakeOne both end here, and so does
 // the WorkerWake fault point — Drop loses the wake, Delay defers it, Dup
 // repeats it later. searching says the caller reserved a slot in
 // nsearching for w; wake reports whether that slot was handed on (to w,

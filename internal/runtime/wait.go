@@ -180,12 +180,12 @@ func (wt *waiter) release() {
 	}
 }
 
-// wake claims the wait and resumes the task: onto its home deque's
-// resumed set; for a join, onto the join list of the worker it yielded to
-// (the slow path of continueOn); or — in Blocking mode — straight back on
-// the task's own resume channel, whose one slot is empty while the task
-// holds its worker. abortErr non-nil marks a cancellation wake: the task
-// will unwind with that error instead of continuing its operation.
+// wake claims the wait and resumes the task: onto the resume inbox of
+// the worker that owns its home deque or — for a join — of the worker it
+// yielded to (the slow path of continueOn); in Blocking mode, straight
+// back on the task's own resume channel, whose one slot is empty while the
+// task holds its worker. abortErr non-nil marks a cancellation wake: the
+// task will unwind with that error instead of continuing its operation.
 // Returns false if another wakeup already claimed this wait. The caller
 // must hold a reference; wake itself does not release one.
 func (wt *waiter) wake(abortErr error) bool {
@@ -195,7 +195,7 @@ func (wt *waiter) wake(abortErr error) bool {
 	t := wt.t
 	// The claim is won: this goroutine is the unique resumer. Writes
 	// below are published to the task by the resume handoff chain: the
-	// home deque's mutex, then the deque item, then the coroutine switch
+	// inbox owner's mutex, then the deque item, then the coroutine switch
 	// of the worker that runs the task — or, with no home, the task's
 	// resume channel. The external payload is copied onto the task here
 	// because the waiter may be recycled before the task reads it.
@@ -206,12 +206,9 @@ func (wt *waiter) wake(abortErr error) bool {
 		// may still be writing them, and the unwinding task never looks.
 		t.extN, t.extErr = wt.extN, wt.extErr
 	}
-	switch {
-	case wt.home != nil:
-		wt.home.addResumed(t)
-	case wt.join:
-		t.rt.workers[wt.worker].addJoined(t)
-	default:
+	if wt.home != nil || wt.join {
+		t.rt.workers[wt.worker].addResumed(wt)
+	} else {
 		t.resume <- t.w
 	}
 	return true
@@ -230,8 +227,8 @@ func (wt *waiter) claim() bool {
 // awaiter continues on the worker that finished its child, and continueOn
 // reports the push. A task that has not yielded yet must not be pushed:
 // another worker could switch into its coroutine while it is still
-// running. It takes the slow path instead, the join list of the worker it
-// is yielding to, which drains it only after the yield. It consumes the
+// running. It takes the slow path instead, the resume inbox of the worker
+// it is yielding to, which drains it only after the yield. It consumes the
 // caller's event reference.
 func (wt *waiter) continueOn(w *worker) bool {
 	pushed := false
@@ -241,7 +238,7 @@ func (wt *waiter) continueOn(w *worker) bool {
 			w.active.q.PushBottom(w.newTaskNode(t))
 			pushed = true
 		} else {
-			w.rt.workers[wt.worker].addJoined(t)
+			w.rt.workers[wt.worker].addResumed(wt)
 		}
 	}
 	wt.release()

@@ -35,8 +35,8 @@ type StallWait struct {
 	DequeLen int
 	// DequeSuspended is the owning deque's suspension counter (Table 1).
 	DequeSuspended int
-	// DequeResumed is the number of tasks re-injected onto the owning
-	// deque but not yet drained by its owner.
+	// DequeResumed is the number of the owning deque's tasks that were
+	// woken but not yet drained from its owner's resume inbox.
 	DequeResumed int
 }
 
@@ -146,13 +146,8 @@ func (rt *runtimeState) stallError(quiet time.Duration) *StallError {
 		}
 		e.QueuedDeques += w.queuedDeques()
 		w.mu.Lock()
-		pending := append([]*rdeque(nil), w.resumedDq...)
-		e.PendingResumed += len(w.joined)
+		e.PendingResumed += len(w.resumed)
 		w.mu.Unlock()
-		for _, d := range pending {
-			_, resumed := d.snapshot()
-			e.PendingResumed += resumed
-		}
 	}
 	// The open waits are the waiters on the scopes' wait lists. A scope's
 	// lock keeps its linked waiters from being recycled, so their fields
@@ -184,8 +179,20 @@ func (rt *runtimeState) stallError(quiet time.Duration) *StallError {
 		if home == nil {
 			continue
 		}
+		// The counter includes woken tasks the owner has not pushed back
+		// yet; those are reported as resumed, the rest as suspended.
+		owner := rt.workers[waits[i].Worker]
+		resumed := 0
+		owner.mu.Lock()
+		for _, wt := range owner.resumed {
+			if wt.home == home {
+				resumed++
+			}
+		}
+		owner.mu.Unlock()
 		waits[i].DequeLen = home.q.Len()
-		waits[i].DequeSuspended, waits[i].DequeResumed = home.snapshot()
+		waits[i].DequeSuspended = max(int(home.suspendCtr.Load())-resumed, 0)
+		waits[i].DequeResumed = resumed
 	}
 	sort.Slice(waits, func(i, j int) bool { return waits[i].Age > waits[j].Age })
 	if len(waits) > maxStallWaits {

@@ -22,21 +22,20 @@ type worker struct {
 	stealBuf []deque.Item
 
 	// mu guards the fields thieves and resume callbacks touch: the active
-	// pointer, the ready-deque list, the resumed-deque list and the join
-	// list.
-	mu        sync.Mutex
-	active    *rdeque
-	ready     []*rdeque
-	resumedDq []*rdeque
-	// joined holds join waiters that yielded to this worker and were
-	// woken by the slow path of waiter.continueOn (completion before the
-	// yield, a cancel abort, any run with faults injected); drainResumed
-	// pushes them onto the active deque.
-	joined []*task
-	// resumedPending mirrors len(resumedDq)+len(joined) > 0 (written under
-	// mu, read without it): drainResumed skips the lock while nothing has
-	// resumed, and a join runs its child as a call only while nothing
-	// waits for injection (see Ctx.popUnstolen).
+	// pointer, the ready-deque list and the resume inbox.
+	mu     sync.Mutex
+	active *rdeque
+	ready  []*rdeque
+	// resumed is the resume inbox (Figure 3's resumed sets, all of this
+	// worker's deques in one list): the waiters whose claim woke a task
+	// this worker must push — a heavy edge's task back onto its home
+	// deque, a join waiter that yielded to this worker onto the active
+	// deque. drainResumed groups it by home.
+	resumed []*waiter
+	// resumedPending mirrors len(resumed) > 0 (written under mu, read
+	// without it): drainResumed skips the lock while nothing has resumed,
+	// and a join runs its child as a call only while nothing waits for
+	// injection (see Ctx.popUnstolen).
 	resumedPending atomic.Bool
 
 	assigned     *task
@@ -59,8 +58,7 @@ type worker struct {
 	// Worker-local free lists (owner-role access only; see pool.go).
 	taskCache  []*task
 	sliceCache [][]*task
-	drainBuf   []*rdeque // spare resumedDq buffer, ping-ponged by drainResumed
-	joinBuf    []*task   // spare joined buffer, likewise
+	inboxBuf   []*waiter // spare resumed buffer, ping-ponged by drainResumed
 
 	// shells lists every task shell whose coroutine this worker created
 	// (owner-role access only), wherever the shell is now — in a free
@@ -83,8 +81,8 @@ func newWorker(rt *runtimeState, id int, r *rng.RNG) *worker {
 //
 // Blocking mode is the paper's baseline, a policy branch here: its worker
 // keeps one permanent deque, so it never retires or switches, and its
-// tasks never suspend, so no resumed deque is ever registered and
-// drainResumed costs it one atomic load.
+// tasks never suspend, so nothing reaches its inbox and drainResumed
+// costs it one atomic load.
 //
 // The worker-loop goroutine is the unique owner of its active deque.
 // TestWorkerNeverBlocks checks that it blocks nowhere but in idle.
@@ -152,46 +150,60 @@ func (w *worker) runTask(t *task) reportKind {
 	return r
 }
 
-// drainResumed implements addResumedVertices (Figure 3, lines 7-14): for
-// each deque with pending resumed tasks, inject the whole batch as ONE
-// deque item — a pfor-tree node over the batch (see pfor.go) — and mark
-// non-active deques ready. Injection is O(1) per deque in the batch size;
-// the tree splits lazily as it is popped or stolen. A batch of one skips
-// the tree and pushes the task directly. Join waiters on the worker's
-// join list have no home: they go onto the active deque (a fresh one if
-// there is none), one singleton each. An injection of more than the one
-// task this worker runs next is work for a parked worker. It runs on the
-// worker-loop goroutine, which owns every deque it drains.
+// drainResumed implements addResumedVertices (Figure 3, lines 7-14): it
+// takes the inbox and, for each home deque in the order of its first
+// wake, injects that deque's woken tasks as ONE deque item — a pfor-tree
+// node over the batch (see pfor.go) — and marks non-active deques ready.
+// Injection is O(1) per deque in the batch size; the tree splits lazily
+// as it is popped or stolen. A batch of one skips the tree and pushes the
+// task directly. Join waiters have no home: they go last onto the active
+// deque (a fresh one if there is none), one singleton each. An injection
+// of more than the one task this worker runs next is work for a parked
+// worker. It runs on the worker-loop goroutine, which owns every deque it
+// drains.
+//
+// A waiter is held by its task's own reference until the task runs again
+// (finishWait), so it may be read only until its task is pushed: a thief
+// can run a pushed task at once. The first pass therefore reads every
+// waiter and keeps only the first wake of each home (and the joins); the
+// later passes read each kept waiter just before pushing its task.
 func (w *worker) drainResumed() {
 	if !w.resumedPending.Load() {
-		// A registration racing this load is seen by the next iteration,
-		// exactly as one landing just after the unlock below would be.
+		// A wake racing this load is seen by the next iteration, exactly
+		// as one landing just after the unlock below would be.
 		return
 	}
 	w.mu.Lock()
-	dqs := w.resumedDq
-	w.resumedDq = w.drainBuf
-	w.drainBuf = nil
-	joined := w.joined
-	w.joined = w.joinBuf
-	w.joinBuf = nil
+	inbox := w.resumed
+	w.resumed = w.inboxBuf
 	w.resumedPending.Store(false)
 	w.mu.Unlock()
-	injected := 0
-	for i, d := range dqs {
-		dqs[i] = nil
-		ts := d.takeResumed(w.getSlice())
-		injected += len(ts)
-		switch len(ts) {
-		case 0:
-			// Raced with a previous drain; nothing pending after all.
-			w.putSlice(ts)
-		case 1:
-			t := ts[0]
+	for i, wt := range inbox {
+		d := wt.home
+		if d == nil {
+			continue // a join, pushed last
+		}
+		if d.woken == nil {
+			d.woken = w.getSlice()
+		} else {
+			inbox[i] = nil // pushed with d's first wake
+		}
+		d.woken = append(d.woken, wt.t)
+	}
+	for i, wt := range inbox {
+		if wt == nil || wt.home == nil {
+			continue
+		}
+		d := wt.home
+		inbox[i] = nil
+		ts := d.woken
+		d.woken = nil
+		d.suspendCtr.Add(-int64(len(ts)))
+		if len(ts) == 1 {
+			d.q.PushBottom(w.newTaskNode(ts[0]))
 			ts[0] = nil
-			d.q.PushBottom(w.newTaskNode(t))
 			w.putSlice(ts[:0])
-		default:
+		} else {
 			w.stat.resumeBatches.Add(1)
 			w.stat.resumeBatchTasks.Add(int64(len(ts)))
 			d.q.PushBottom(w.newBatchNode(ts))
@@ -200,43 +212,34 @@ func (w *worker) drainResumed() {
 			w.addReady(d)
 		}
 	}
-	w.drainBuf = dqs[:0]
-	if len(joined) > 0 && w.active == nil {
-		w.adoptDeque(w.getRdeque())
+	for i, wt := range inbox {
+		if wt == nil {
+			continue
+		}
+		inbox[i] = nil
+		if w.active == nil {
+			w.adoptDeque(w.getRdeque())
+		}
+		w.active.q.PushBottom(w.newTaskNode(wt.t))
 	}
-	for i, t := range joined {
-		joined[i] = nil
-		w.active.q.PushBottom(w.newTaskNode(t))
-	}
-	injected += len(joined)
-	w.joinBuf = joined[:0]
-	if injected > 1 {
+	if len(inbox) > 1 {
 		w.rt.published()
 	}
+	w.inboxBuf = inbox[:0]
 }
 
-// noteResumedDeque registers a deque whose first resumed task just
-// arrived, and wakes the owner if it is parked: resumed sets are drained
-// by their owner only (Figure 3 lines 1-14), so no other worker can make
-// this task runnable. Called from timer and completion goroutines.
-// Publish first, look second — the mirror of idle's announce-then-re-check.
-func (w *worker) noteResumedDeque(d *rdeque) {
+// addResumed is the resume callback (Figure 3, lines 1-5) for every wake
+// this worker must push: a heavy edge's claim (timer, channel, external
+// completion, cancel abort) for a task whose home deque w owns, and the
+// slow path of waiter.continueOn for a join waiter that yielded (or is
+// yielding) to w — only w may push that task, since only w knows when its
+// coroutine has yielded. It wakes w if it is parked: the inbox is drained
+// by its owner only, so no other worker can make the task runnable.
+// Called from timer, completion and completer goroutines. Publish first,
+// look second — the mirror of idle's announce-then-re-check.
+func (w *worker) addResumed(wt *waiter) {
 	w.mu.Lock()
-	w.resumedDq = append(w.resumedDq, d)
-	w.resumedPending.Store(true)
-	w.mu.Unlock()
-	if w.parked.Load() {
-		w.rt.wake(w, false)
-	}
-}
-
-// addJoined queues a join waiter that yielded (or is yielding) to w on
-// w's join list, the slow path of waiter.continueOn, and wakes w if it is
-// parked: only w may push the task, since only w knows when the task's
-// coroutine has yielded. Publish first, look second, as above.
-func (w *worker) addJoined(t *task) {
-	w.mu.Lock()
-	w.joined = append(w.joined, t)
+	w.resumed = append(w.resumed, wt)
 	w.resumedPending.Store(true)
 	w.mu.Unlock()
 	if w.parked.Load() {
@@ -501,12 +504,12 @@ func (w *worker) foundWork() {
 //
 //  1. announce: set parked, count itself in rt.nidle, and leave
 //     rt.nsearching — in that order, before looking;
-//  2. re-check every source of work: its own resumed sets, every worker's
+//  2. re-check every source of work: its own resume inbox, every worker's
 //     active and ready deques, and the end of the run;
 //  3. block on its one-slot semaphore only if all of them were empty.
 //
 // Wakers do the mirror image — publish the work, then look at parked /
-// nidle / nsearching (noteResumedDeque, addJoined, published, the end of
+// nidle / nsearching (addResumed, published, the end of
 // the run, a root cancel). Go atomics are sequentially consistent, so an
 // announcement and a publication cannot both miss each other: either the
 // re-check sees the work, or the waker sees the announcement (or a
